@@ -4,8 +4,8 @@ Tracks the PR's two perf targets over time (the nightly smoke run emits
 ``BENCH_bench_frontier.json``):
 
 * the **bucketed** label sweep (array buckets + three completion bounds +
-  adaptive windowed Pareto filter) against the legacy **linear**-scan sweep
-  across the scattered regime — the slow lane asserts the ≥2x acceptance
+  adaptive windowed Pareto filter) against the **linear**-scan reference
+  sweep across the scattered regime — the slow lane asserts the ≥2x acceptance
   floor at ``n = 40`` (measured ~6x, and ~10x at ``n = 50``) and that fully
   scattered ``n = 50`` solves exactly in single-digit seconds (measured
   well under one);
@@ -13,7 +13,8 @@ Tracks the PR's two perf targets over time (the nightly smoke run emits
   ``n >= 30`` used to raise ``FrontierExplosion`` at any practical cap),
   cross-checked against the label engine — the differential harness's
   second oracle must stay cheap enough to run routinely;
-* raw :class:`ParetoStore` insert throughput (the eager path the DP uses).
+* raw :class:`ParetoStore` insert throughput (the pure-python store behind
+  the tree DP's small folds).
 """
 
 import random

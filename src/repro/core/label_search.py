@@ -40,17 +40,18 @@ mechanisms keep the label sets small:
   plain tuples so the componentwise comparisons are cheap.  Two frontier
   backends implement the filter, selected by ``frontier=``:
 
-  - ``"bucketed"`` (default) — the shared σ-sorted
-    :class:`~repro.core.frontier.ParetoStore`: binary search on σ bounds
-    both scan directions, max/sum summaries gate the tuple walks, exact
-    duplicates retire in O(1).  The filter is *exact* at any bucket size,
-    so dominated labels never survive to be extended — this is what keeps
-    fully scattered ``n = 50`` in single-digit seconds.
-  - ``"linear"`` — the legacy capped scans with **adaptive capping**:
-    comparisons are capped per insert and switched off entirely when they
-    stop paying.  Exactness-preserving (a kept dominated label only costs
-    time), kept as the reference/fallback backend; on large scattered
-    instances its buckets outgrow the cap and the label population explodes.
+  - ``"bucketed"`` (default) — numpy array buckets: each node's labels are
+    settled in one pass, re-checked against the tightened incumbent and
+    filtered by the windowed block kernel
+    :func:`~repro.core.frontier.pareto_block_mask`, then extended along
+    every out-edge with one vectorised operation per edge.  This is what
+    keeps fully scattered ``n = 50`` tractable.
+  - ``"linear"`` — the legacy capped scans over tuple labels with
+    **adaptive capping**: comparisons are capped per insert and switched off
+    entirely when they stop paying.  Exactness-preserving (a kept dominated
+    label only costs time), kept as the reference backend of the
+    differential tests; on large scattered instances its buckets outgrow
+    the cap and the label population explodes.  Forward direction only.
 
 The sweep is a single pass: when node ``v`` is processed every label it will
 ever receive is already present (all in-edges come from earlier nodes), so
@@ -76,9 +77,11 @@ the deep-layer label populations that explode on scattered ``n >= 60``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import add as _add
 from typing import Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.context import SolveContext
 from repro.core.dwg import (
@@ -87,7 +90,7 @@ from repro.core.dwg import (
     SSBWeighting,
     SIGMA_ATTR,
 )
-from repro.core.frontier import HAVE_NUMPY, ParetoStore, pareto_block_mask
+from repro.core.frontier import pareto_block_mask
 from repro.graphs.dag import DagIndex, NotADagError
 from repro.graphs.digraph import Edge, Node
 from repro.graphs.paths import Path
@@ -117,13 +120,9 @@ _ADAPTIVE_MIN_HIT_RATE = 1.0 / 32.0
 #: sweep and collapse their label populations by orders of magnitude.
 _BLOCK_DOM_CHECK_AFTER = 2048
 _BLOCK_DOM_MIN_HIT_RATE = 1.0 / 6.0
-
-#: ``(created, dominated, pruned_colour, pruned_joint, pruned_settle,
-#: frontier_peak, settle_batches, pruned_meet, meet_edges)`` — the counter
-#: tuple every sweep kernel returns; the bound-pruned total is the sum of
-#: the pruned_* slots.  The last two are only non-zero in bidirectional
-#: mode (labels rejected by the meet-join pre-filter, crossing edges joined).
-_EMPTY_SWEEP_STATS = (0, 0, 0, 0, 0, 0, 0, 0, 0)
+#: Dominator-set cap of the block kernels' per-node Pareto filter (see
+#: :func:`repro.core.frontier.pareto_block_mask`).
+_DOMINANCE_WINDOW = 128
 
 #: Element budget of one meet-join broadcast chunk: a forward chunk of
 #: ``F`` labels against ``B`` backward labels costs ``F·B·dim`` floats, so
@@ -154,14 +153,16 @@ class LabelSearchStats:
     ``pruned_colour`` (the per-colour joint σ/β_c bound at extension time —
     the tightened replacement of the legacy floor bound), ``pruned_joint``
     (the joint σ/average-load bound at extension time), ``pruned_settle``
-    (the re-check against the tightened incumbent when a lazy bucket
-    settles) and ``pruned_meet`` (labels a bidirectional join's pre-filter
-    rejected against the opposing frontier's minima).  ``pruned_floor``
-    remains for engines that still prune with the floor-type bound (the
-    tree DP); the sweep itself no longer fires it.  ``frontier_peak`` is
-    the largest settled bucket and ``settle_batches`` the number of settle
-    passes — together the bound-effectiveness profile the tracing layer
-    surfaces.
+    (the forward block kernel's re-check of a node's bucket against the
+    incumbent as tightened since its labels were created) and
+    ``pruned_meet`` (labels a bidirectional join's pre-filter rejected
+    against the opposing frontier's minima).  ``pruned_floor`` remains for
+    engines that still prune with the floor-type bound (the tree DP); the
+    sweep itself no longer fires it.  ``frontier_peak`` is the largest
+    bucket a block kernel settled, counted before the settle's bound and
+    dominance filters (the linear reference reports its largest bucket),
+    and ``settle_batches`` the number of buckets the block kernels settled
+    — together the bound-effectiveness profile the tracing layer surfaces.
     """
 
     labels_created: int = 0
@@ -176,8 +177,8 @@ class LabelSearchStats:
     pruned_settle: int = 0           #: settle-time incumbent re-check rejections
     pruned_meet: int = 0             #: meet-join pre-filter rejections (bidir)
     meet_edges: int = 0              #: crossing edges joined (bidir only)
-    frontier_peak: int = 0           #: largest bucket ever settled
-    settle_batches: int = 0          #: settle passes over lazy buckets
+    frontier_peak: int = 0           #: largest bucket before its settle
+    settle_batches: int = 0          #: buckets settled by a block kernel
 
 
 @dataclass
@@ -288,24 +289,21 @@ class LabelDominanceSearch:
 
     def __init__(self, weighting: Optional[SSBWeighting] = None,
                  beam_width: int = 128, frontier: str = "bucketed",
-                 dominance_window: int = 128,
                  direction: str = "forward") -> None:
         if beam_width < 0:
             raise ValueError("beam_width must be non-negative (0 disables the pre-pass)")
         if frontier not in ("bucketed", "linear"):
             raise ValueError("frontier must be 'bucketed' or 'linear'")
-        if dominance_window < 0:
-            raise ValueError("dominance_window must be non-negative (0 disables "
-                             "dominance in the block sweep)")
         if direction not in ("forward", "bidirectional"):
             raise ValueError("direction must be 'forward' or 'bidirectional'")
+        if frontier == "linear" and direction == "bidirectional":
+            raise ValueError("frontier='linear' supports direction='forward' "
+                             "only; the bidirectional join runs on array "
+                             "buckets")
         self.weighting = weighting or SSBWeighting()
         self.measures = PathMeasures(self.weighting)
         self.beam_width = beam_width
         self.frontier = frontier
-        #: dominator-set cap of the bucketed block sweep's per-node filter
-        #: (see :func:`repro.core.frontier.pareto_block_mask`)
-        self.dominance_window = dominance_window
         #: ``"forward"`` — the classic single sweep; ``"bidirectional"`` —
         #: meet-in-the-middle half-sweeps joined over the crossing edges
         self.direction = direction
@@ -380,7 +378,7 @@ class LabelDominanceSearch:
         interrupted = context.interrupted() if context is not None else None
         if self.beam_width and interrupted is None:
             beam_label, beam_ssb, _, interrupted = self._sweep(
-                order, out_edge_data, pot, potjc, inv_colors, source, target,
+                order, out_edge_data, inv_colors, source, target,
                 zero_loads, min(incumbent, fallback_ssb),
                 beam_width=self.beam_width, context=context)
             if beam_label is not None and beam_ssb < fallback_ssb:
@@ -390,8 +388,8 @@ class LabelDominanceSearch:
                     context.report_incumbent(beam_ssb, source="labels-beam")
         bound = min(incumbent, fallback_ssb)
 
-        # ---- exact pass: block sweep (array buckets) when numpy is present,
-        # scalar sweep otherwise — identical semantics, identical optimum
+        # ---- exact pass: the block kernel of the chosen direction, or the
+        # linear reference sweep — identical semantics, identical optimum
         profile = None
         if context is not None:
             span = getattr(context, "span", None)
@@ -402,14 +400,14 @@ class LabelDominanceSearch:
         if interrupted is not None:
             best_path, best_s, best_b = None, float("inf"), float("inf")
             best_ssb = float("inf")
-            sweep_stats = _EMPTY_SWEEP_STATS
+            sweep_stats = LabelSearchStats()
         elif self.direction == "bidirectional":
             (best_path, best_ssb, best_s, best_b,
              sweep_stats, interrupted) = self._sweep_bidirectional(
                 graph, order, out_edge_data, pot, potjc, potj, inv_colors,
                 colors, source, target, zero_loads, bound, context=context,
                 profile=profile)
-        elif self.frontier == "bucketed" and HAVE_NUMPY:
+        elif self.frontier == "bucketed":
             (best_path, best_ssb, best_s, best_b,
              sweep_stats, interrupted) = self._sweep_blocks(
                 graph, order, out_edge_data, pot, potjc, potj, inv_colors,
@@ -417,7 +415,7 @@ class LabelDominanceSearch:
                 profile=profile)
         else:
             best_label, best_ssb, sweep_stats, interrupted = self._sweep(
-                order, out_edge_data, pot, potjc, inv_colors, source, target,
+                order, out_edge_data, inv_colors, source, target,
                 zero_loads, bound, context=context, profile=profile)
             if best_label is not None:
                 best_path = _reconstruct(best_label)
@@ -426,15 +424,13 @@ class LabelDominanceSearch:
             else:
                 best_path = None
                 best_s = best_b = float("inf")
-        stats = LabelSearchStats(
-            labels_created=sweep_stats[0], labels_dominated=sweep_stats[1],
-            labels_bound_pruned=(sweep_stats[2] + sweep_stats[3]
-                                 + sweep_stats[4] + sweep_stats[7]),
-            nodes_swept=len(order), colors=n_colors, beam_ssb=beam_ssb,
-            pruned_colour=sweep_stats[2], pruned_joint=sweep_stats[3],
-            pruned_settle=sweep_stats[4], frontier_peak=sweep_stats[5],
-            settle_batches=sweep_stats[6], pruned_meet=sweep_stats[7],
-            meet_edges=sweep_stats[8])
+        stats = replace(
+            sweep_stats,
+            labels_bound_pruned=(sweep_stats.pruned_colour
+                                 + sweep_stats.pruned_joint
+                                 + sweep_stats.pruned_settle
+                                 + sweep_stats.pruned_meet),
+            nodes_swept=len(order), colors=n_colors, beam_ssb=beam_ssb)
 
         if best_path is not None:
             return LabelSearchResult(
@@ -456,21 +452,20 @@ class LabelDominanceSearch:
         return _not_found(stats, interrupted)
 
     # ------------------------------------------------------------------ sweep
-    def _sweep(self, order, out_edge_data, pot, potjc, inv_colors, source,
-               target, zero_loads, bound, beam_width: Optional[int] = None,
+    def _sweep(self, order, out_edge_data, inv_colors, source, target,
+               zero_loads, bound, beam_width: Optional[int] = None,
                context: Optional[SolveContext] = None, profile=None
-               ) -> Tuple[Optional[_Label], float, Tuple[int, ...],
+               ) -> Tuple[Optional[_Label], float, LabelSearchStats,
                           Optional[str]]:
-        """One topological label sweep; the single kernel behind both passes.
+        """One topological sweep over tuple labels: beam pre-pass or linear.
 
-        ``beam_width=None`` is the exact pass: buckets keep their full
-        (dominance-filtered) label sets — a :class:`ParetoStore` per node
-        with the default ``frontier="bucketed"`` backend, the legacy capped
-        linear scans with ``"linear"``.  With a width the sweep becomes the
-        heuristic pre-pass: buckets are truncated to the ``beam_width``
-        labels of smallest SSB-so-far before extension and dominance is
-        skipped.  Any target label either mode returns is a real path, so
-        its SSB weight is a valid incumbent.
+        With ``beam_width`` the sweep is the heuristic pre-pass: buckets are
+        truncated to the ``beam_width`` labels of smallest SSB-so-far before
+        extension and dominance is skipped.  ``beam_width=None`` is the
+        ``frontier="linear"`` exact reference: buckets keep their full label
+        sets, filtered by the legacy capped linear scans.  Any target label
+        either mode returns is a real path, so its SSB weight is a valid
+        incumbent.
 
         ``context`` is polled once per swept node; on interruption the
         sweep stops immediately (the last return element is the kind) and
@@ -479,20 +474,12 @@ class LabelDominanceSearch:
         """
         lam_s, lam_b = self.weighting.lambda_s, self.weighting.lambda_b
         created = dominated = 0
-        pruned_colour = pruned_joint = pruned_settle = 0
-        peak = settles = 0
+        pruned_colour = pruned_joint = 0
+        peak = 0
         interrupted: Optional[str] = None
-        bucketed = beam_width is None and self.frontier == "bucketed"
-        check_dominance = beam_width is None and not bucketed
-        dim = len(zero_loads)
-        labels: Dict[Node, Any] = {}
-        seed: _Label = (0.0, zero_loads, None, None, 0.0)
-        if bucketed:
-            seed_store = ParetoStore(dim)
-            seed_store.insert(0.0, zero_loads, seed)
-            labels[source] = seed_store
-        else:
-            labels[source] = [seed]
+        check_dominance = beam_width is None
+        labels: Dict[Node, List[_Label]] = {
+            source: [(0.0, zero_loads, None, None, 0.0)]}
         best_label: Optional[_Label] = None
         best_ssb = float("inf")
         for node in order:
@@ -507,23 +494,8 @@ class LabelDominanceSearch:
             if not extensions:
                 continue
             if profile is not None:
-                node_base = (created, dominated, pruned_colour, pruned_joint,
-                             pruned_settle)
-            if bucketed:
-                # the settle re-checks the completion bound with the *current*
-                # incumbent — tighter than when these labels were queued —
-                # before paying for the dominance filter
-                if dim:
-                    bucket.settle(bound, joint_potentials=potjc[node],
-                                  lambda_s=lam_s, lambda_b=lam_b)
-                else:
-                    bucket.settle(bound, potential=pot[node],
-                                  lambda_s=lam_s, lambda_b=lam_b)
-                dominated += bucket.dominated + bucket.evicted
-                pruned_settle += bucket.bound_rejected
-                settles += 1
-                bucket = bucket.payloads()
-            elif beam_width is not None and len(bucket) > beam_width:
+                node_base = (created, dominated, pruned_colour, pruned_joint)
+            if beam_width is not None and len(bucket) > beam_width:
                 # all labels in this bucket share pot[node], so ranking by
                 # λ_S·σ + λ_B·max(loads) orders them by completion bound
                 bucket.sort(key=lambda lab: lam_s * lab[0] +
@@ -567,12 +539,7 @@ class LabelDominanceSearch:
                             if context is not None:
                                 context.report_incumbent(ssb, source="labels")
                         continue
-                    if bucketed:
-                        store = labels.get(head)
-                        if store is None:
-                            store = labels[head] = ParetoStore(dim)
-                        store.insert_lazy(ns, nloads, new_label)
-                    elif check_dominance:
+                    if check_dominance:
                         if not _insert(labels.setdefault(head, []), new_label):
                             dominated += 1
                         if created % _ADAPTIVE_CHECK_EVERY == 0 and \
@@ -585,40 +552,38 @@ class LabelDominanceSearch:
                     node, created - node_base[0], dominated - node_base[1],
                     pruned_colour=pruned_colour - node_base[2],
                     pruned_joint=pruned_joint - node_base[3],
-                    pruned_settle=pruned_settle - node_base[4],
-                    frontier=len(bucket),
-                    settle_batches=1 if bucketed else 0)
-        return best_label, best_ssb, (created, dominated, pruned_colour,
-                                      pruned_joint, pruned_settle, peak,
-                                      settles, 0, 0), interrupted
+                    frontier=len(bucket))
+        stats = LabelSearchStats(
+            labels_created=created, labels_dominated=dominated,
+            pruned_colour=pruned_colour, pruned_joint=pruned_joint,
+            frontier_peak=peak)
+        return best_label, best_ssb, stats, interrupted
 
     # ------------------------------------------------------------ block sweep
     def _sweep_blocks(self, graph, order, out_edge_data, pot, potjc, potj,
                       inv_colors, source, target, zero_loads, bound,
                       context: Optional[SolveContext] = None, profile=None):
-        """The exact pass over *array buckets* (the default bucketed backend).
+        """The forward exact pass over *array buckets* (``"bucketed"``).
 
         Labels never exist as Python objects here: a node's bucket is a set
         of numpy blocks ``(σ, loads, Σloads, parent row, edge key)`` and
         every step — the completion-bound checks, the settle-time re-check
         against the tightened incumbent, the Pareto filter
         (:func:`~repro.core.frontier.pareto_block_mask`, dominator set
-        capped at ``dominance_window``) and the per-edge extension — is one
+        capped at ``_DOMINANCE_WINDOW``) and the per-edge extension — is one
         vectorised operation per (node, edge) instead of per label.  Settled
         buckets are retained so the best target label's predecessor chain
         can be walked back into a :class:`~repro.graphs.paths.Path`.
 
-        Semantically identical to the scalar sweep: the same three bounds,
+        Matches the ``frontier="linear"`` reference sweep: the same bounds,
         the same dominance relation (the window only lets some dominated
         labels survive, which costs time, never correctness), the same
         arithmetic on the same IEEE floats — the returned optimum is
         bit-identical.
         """
-        import numpy as np
-
         lam_s, lam_b = self.weighting.lambda_s, self.weighting.lambda_b
         dim = len(zero_loads)
-        window = self.dominance_window
+        filter_dominance = True
         created = dominated = inspected = 0
         pruned_colour = pruned_joint = pruned_settle = 0
         peak = settles = 0
@@ -690,8 +655,8 @@ class LabelDominanceSearch:
                 continue
             # ... then drop dominated labels (windowed Pareto filter, switched
             # off for good once the observed hit-rate stops paying)
-            if window and len(sig) > 1:
-                mask = pareto_block_mask(sig, lds, window=window)
+            if filter_dominance and len(sig) > 1:
+                mask = pareto_block_mask(sig, lds, window=_DOMINANCE_WINDOW)
                 drop = len(sig) - int(mask.sum())
                 inspected += len(sig)
                 if drop:
@@ -700,7 +665,7 @@ class LabelDominanceSearch:
                     parents, ekeys = parents[mask], ekeys[mask]
                 if inspected >= _BLOCK_DOM_CHECK_AFTER and \
                         dominated < inspected * _BLOCK_DOM_MIN_HIT_RATE:
-                    window = 0
+                    filter_dominance = False
             settled[node] = (parents, ekeys)
             for edge, sigma, betas, btotal, head, pot_h, potjc_h, potj_h \
                     in extensions:
@@ -747,8 +712,11 @@ class LabelDominanceSearch:
                     pruned_settle=pruned_settle - node_base[4],
                     frontier=bucket_size,
                     settle_batches=1)
-        sweep_stats = (created, dominated, pruned_colour, pruned_joint,
-                       pruned_settle, peak, settles, 0, 0)
+        sweep_stats = LabelSearchStats(
+            labels_created=created, labels_dominated=dominated,
+            pruned_colour=pruned_colour, pruned_joint=pruned_joint,
+            pruned_settle=pruned_settle, frontier_peak=peak,
+            settle_batches=settles)
         if best is None:
             return None, float("inf"), float("inf"), float("inf"), \
                 sweep_stats, interrupted
@@ -883,8 +851,7 @@ class LabelDominanceSearch:
         whose head at or above it.  Joining the forward frontier at each
         crossing tail with the backward frontier at its head is therefore
         exhaustive, and the returned optimum identical to the forward
-        sweep's.  The join runs through the vectorised broadcast kernel
-        when numpy is present and a pure-python pairwise loop otherwise.
+        sweep's.
         """
         n_colors = len(zero_loads)
         color_index = {c: i for i, c in enumerate(colors)}
@@ -893,31 +860,24 @@ class LabelDominanceSearch:
             order, out_edge_data, source, inv_colors, n_colors)
         if target not in spot:
             return (None, float("inf"), float("inf"), float("inf"),
-                    _EMPTY_SWEEP_STATS, None)
+                    LabelSearchStats(), None)
         K, fwd_exts, cross_edges, in_edge_data = self._meet_partition(
             graph, order, out_edge_data, rank, spot, pot, source, target,
             color_index)
         cross_tails = {c[4] for c in cross_edges}
         cross_heads = {c[5] for c in cross_edges}
-        if HAVE_NUMPY:
-            out = self._bidir_blocks(
-                graph, order, K, fwd_exts, cross_edges, in_edge_data,
-                cross_tails, cross_heads, pot, potjc, potj, spot, spotj,
-                spotjc, inv_colors, source, target, zero_loads, bound,
-                context=context, profile=profile)
-        else:
-            out = self._bidir_scalar(
-                graph, order, K, fwd_exts, cross_edges, in_edge_data,
-                cross_tails, cross_heads, pot, potjc, potj, spot, spotj,
-                spotjc, inv_colors, source, target, zero_loads, bound,
-                context=context, profile=profile)
+        out = self._bidir_blocks(
+            graph, order, K, fwd_exts, cross_edges, in_edge_data,
+            cross_tails, cross_heads, pot, potjc, potj, spot, spotj,
+            spotjc, inv_colors, source, target, zero_loads, bound,
+            context=context, profile=profile)
         path, _ssb, _s, _b, sweep_stats, interrupted = out
         if path is None:
             return out
         # The join accumulates σ/loads as prefix + suffix sums, whose
         # floating-point association differs from the forward sweep's
         # left-to-right one by an ulp or two.  Re-accumulate the winning
-        # path in forward edge order — the exact op sequence of `_sweep` —
+        # path in forward edge order — the forward sweeps' exact op sequence —
         # so the reported optimum is bit-identical to the forward engine's.
         s = 0.0
         loads = list(zero_loads)
@@ -940,7 +900,7 @@ class LabelDominanceSearch:
                       potj, spot, spotj, spotjc, inv_colors, source, target,
                       zero_loads, bound,
                       context: Optional[SolveContext] = None, profile=None):
-        """Bidirectional exact pass over array buckets (numpy present).
+        """Bidirectional exact pass over array buckets.
 
         Both half-sweeps mirror :meth:`_sweep_blocks` — vectorised bound
         checks, windowed Pareto filter, settled arrays retained for the
@@ -952,11 +912,8 @@ class LabelDominanceSearch:
         ``_MEET_CHUNK_ELEMS`` elements, after pre-filtering each frontier
         against the other's componentwise minima (``pruned_meet``).
         """
-        import numpy as np
-
         lam_s, lam_b = self.weighting.lambda_s, self.weighting.lambda_b
         dim = len(zero_loads)
-        window = self.dominance_window
         created = dominated = 0
         pruned_colour = pruned_joint = pruned_meet = 0
         peak = settles = meet_edges = 0
@@ -986,10 +943,10 @@ class LabelDominanceSearch:
             if len(sig) > _SETTLE_PROBE * 8:
                 probe = pareto_block_mask(sig[:_SETTLE_PROBE],
                                           lds[:_SETTLE_PROBE],
-                                          window=window)
+                                          window=_DOMINANCE_WINDOW)
                 if _SETTLE_PROBE - int(probe.sum()) < _SETTLE_PROBE // 64:
                     return None
-            return pareto_block_mask(sig, lds, window=window)
+            return pareto_block_mask(sig, lds, window=_DOMINANCE_WINDOW)
 
         def concat(node_chunks):
             if len(node_chunks) == 1:
@@ -1028,7 +985,7 @@ class LabelDominanceSearch:
             if bucket_size > peak:
                 peak = bucket_size
             settles += 1
-            if window and len(sig) > 1:
+            if len(sig) > 1:
                 mask = settle_mask(sig, lds)
                 drop = len(sig) - int(mask.sum()) if mask is not None else 0
                 if drop:
@@ -1095,7 +1052,7 @@ class LabelDominanceSearch:
                 if bucket_size > peak:
                     peak = bucket_size
                 settles += 1
-                if window and len(sig) > 1:
+                if len(sig) > 1:
                     mask = settle_mask(sig, lds)
                     drop = (len(sig) - int(mask.sum())
                             if mask is not None else 0)
@@ -1351,8 +1308,11 @@ class LabelDominanceSearch:
                         f"meet:{edge.key}",
                         pruned_meet=pruned_meet - meet_base,
                         frontier=len(sf) + len(sb))
-        sweep_stats = (created, dominated, pruned_colour, pruned_joint, 0,
-                       peak, settles, pruned_meet, meet_edges)
+        sweep_stats = LabelSearchStats(
+            labels_created=created, labels_dominated=dominated,
+            pruned_colour=pruned_colour, pruned_joint=pruned_joint,
+            pruned_meet=pruned_meet, meet_edges=meet_edges,
+            frontier_peak=peak, settle_batches=settles)
         if best is None:
             return (None, float("inf"), float("inf"), float("inf"),
                     sweep_stats, interrupted)
@@ -1376,226 +1336,6 @@ class LabelDominanceSearch:
             edges.append(e)
             row = int(parents[row])
             node = e.head
-        return (Path.from_edges(edges), best_ssb, best_s, best_b,
-                sweep_stats, interrupted)
-
-    def _bidir_scalar(self, graph, order, K, fwd_exts, cross_edges,
-                      in_edge_data, cross_tails, cross_heads, pot, potjc,
-                      potj, spot, spotj, spotjc, inv_colors, source, target,
-                      zero_loads, bound,
-                      context: Optional[SolveContext] = None, profile=None):
-        """Pure-python bidirectional pass: :class:`ParetoStore` buckets per
-        node in both halves and a pairwise join — the numpy-free fallback,
-        identical optimum."""
-        lam_s, lam_b = self.weighting.lambda_s, self.weighting.lambda_b
-        dim = len(zero_loads)
-        created = dominated = 0
-        pruned_colour = pruned_joint = pruned_meet = 0
-        peak = settles = meet_edges = 0
-        interrupted: Optional[str] = None
-
-        # forward half: prefix labels, predecessor chains as in _sweep
-        labels_f: Dict[Node, ParetoStore] = {}
-        seed: _Label = (0.0, zero_loads, None, None, 0.0)
-        store = ParetoStore(dim)
-        store.insert(0.0, zero_loads, seed)
-        labels_f[source] = store
-        fwd_front: Dict[Node, List[_Label]] = {}
-        for node in order[:K]:
-            if context is not None:
-                interrupted = context.interrupted()
-                if interrupted is not None:
-                    break
-            bucket = labels_f.pop(node, None)
-            if not bucket:
-                continue
-            extensions = fwd_exts.get(node)
-            is_meet_tail = node in cross_tails
-            if not extensions and not is_meet_tail:
-                continue
-            bucket.settle()
-            dominated += bucket.dominated + bucket.evicted
-            settles += 1
-            payloads = bucket.payloads()
-            if len(payloads) > peak:
-                peak = len(payloads)
-            if is_meet_tail:
-                fwd_front[node] = payloads
-            for label in payloads:
-                s, loads, lsum = label[0], label[1], label[4]
-                for edge, sigma, betas, btotal, head, pot_h, potjc_h, \
-                        potj_h in (extensions or ()):
-                    ns = s + sigma
-                    if betas:
-                        new_loads = list(loads)
-                        for ci, bv in betas:
-                            new_loads[ci] += bv
-                        nloads = tuple(new_loads)
-                    else:
-                        nloads = loads
-                    if nloads:
-                        lower = lam_s * ns + max(map(
-                            _add, map(lam_b.__mul__, nloads), potjc_h))
-                    else:
-                        lower = lam_s * (ns + pot_h)
-                    if lower >= bound:
-                        pruned_colour += 1
-                        continue
-                    nsum = lsum + btotal
-                    if lam_s * ns + lam_b * nsum * inv_colors + potj_h \
-                            >= bound:
-                        pruned_joint += 1
-                        continue
-                    created += 1
-                    hstore = labels_f.get(head)
-                    if hstore is None:
-                        hstore = labels_f[head] = ParetoStore(dim)
-                    hstore.insert_lazy(ns, nloads, (ns, nloads, edge,
-                                                    label, nsum))
-
-        # backward half: suffix labels; a label's edge is the *first* edge
-        # of its v → T suffix, its parent the next suffix label
-        labels_b: Dict[Node, ParetoStore] = {}
-        store = ParetoStore(dim)
-        store.insert(0.0, zero_loads, seed)
-        labels_b[target] = store
-        bwd_front: Dict[Node, List[_Label]] = {}
-        if interrupted is None:
-            for node in reversed(order[K:]):
-                if context is not None:
-                    interrupted = context.interrupted()
-                    if interrupted is not None:
-                        break
-                bucket = labels_b.pop(node, None)
-                if not bucket:
-                    continue
-                extensions = in_edge_data.get(node)
-                is_meet_head = node in cross_heads
-                if not extensions and not is_meet_head:
-                    continue
-                bucket.settle()
-                dominated += bucket.dominated + bucket.evicted
-                settles += 1
-                payloads = bucket.payloads()
-                if len(payloads) > peak:
-                    peak = len(payloads)
-                if is_meet_head:
-                    bwd_front[node] = payloads
-                for label in payloads:
-                    s, loads, lsum = label[0], label[1], label[4]
-                    for edge, sigma, betas, btotal, tail in \
-                            (extensions or ()):
-                        ns = s + sigma
-                        if betas:
-                            new_loads = list(loads)
-                            for ci, bv in betas:
-                                new_loads[ci] += bv
-                            nloads = tuple(new_loads)
-                        else:
-                            nloads = loads
-                        if nloads:
-                            lower = lam_s * ns + max(map(
-                                _add, map(lam_b.__mul__, nloads),
-                                spotjc[tail]))
-                        else:
-                            lower = lam_s * (ns + spot[tail])
-                        if lower >= bound:
-                            pruned_colour += 1
-                            continue
-                        nsum = lsum + btotal
-                        if lam_s * ns + lam_b * nsum * inv_colors \
-                                + spotj[tail] >= bound:
-                            pruned_joint += 1
-                            continue
-                        created += 1
-                        tstore = labels_b.get(tail)
-                        if tstore is None:
-                            tstore = labels_b[tail] = ParetoStore(dim)
-                        tstore.insert_lazy(ns, nloads, (ns, nloads, edge,
-                                                        label, nsum))
-
-        # join at the crossing edges, cheapest-looking first
-        best_f = best_bb = best_edge = None
-        best_ssb = best_s = best_b = float("inf")
-        if interrupted is None:
-            jobs = []
-            for edge, sigma, betas, btotal, tail, head in cross_edges:
-                F = fwd_front.get(tail)
-                B = bwd_front.get(head)
-                if not F or not B:
-                    continue
-                est = lam_s * (min(l[0] for l in F) + sigma
-                               + min(l[0] for l in B))
-                if dim:
-                    minf = [min(l[1][c] for l in F) for c in range(dim)]
-                    minb = [min(l[1][c] for l in B) for c in range(dim)]
-                    brow = [0.0] * dim
-                    for ci, bv in betas:
-                        brow[ci] = bv
-                    est += max(lam_b * (a + e + b)
-                               for a, e, b in zip(minf, brow, minb))
-                jobs.append((est, edge.key, edge, sigma, betas, tail, head))
-            jobs.sort(key=lambda j: (j[0], j[1]))
-            for est, _key, edge, sigma, betas, tail, head in jobs:
-                if context is not None:
-                    interrupted = context.interrupted()
-                    if interrupted is not None:
-                        break
-                meet_edges += 1
-                F, B = fwd_front[tail], bwd_front[head]
-                if est >= bound:
-                    pruned_meet += len(F) + len(B)
-                    continue
-                min_sb = min(l[0] for l in B)
-                minb = [min(l[1][c] for l in B) for c in range(dim)]
-                for lf in F:
-                    sf = lf[0] + sigma
-                    if betas:
-                        lfl = list(lf[1])
-                        for ci, bv in betas:
-                            lfl[ci] += bv
-                        lfl = tuple(lfl)
-                    else:
-                        lfl = lf[1]
-                    if dim:
-                        low = lam_s * (sf + min_sb) + \
-                            lam_b * max(map(_add, lfl, minb))
-                    else:
-                        low = lam_s * (sf + min_sb)
-                    if low >= bound:
-                        pruned_meet += 1
-                        continue
-                    for lb in B:
-                        if dim:
-                            v = lam_s * (sf + lb[0]) + \
-                                lam_b * max(map(_add, lfl, lb[1]))
-                        else:
-                            v = lam_s * (sf + lb[0])
-                        if v < bound:
-                            bound = best_ssb = v
-                            best_edge, best_f, best_bb = edge, lf, lb
-                            best_s = sf + lb[0]
-                            best_b = max(map(_add, lfl, lb[1])) if dim \
-                                else 0.0
-                            if context is not None:
-                                context.report_incumbent(
-                                    v, source="labels-meet")
-        sweep_stats = (created, dominated, pruned_colour, pruned_joint, 0,
-                       peak, settles, pruned_meet, meet_edges)
-        if best_edge is None:
-            return (None, float("inf"), float("inf"), float("inf"),
-                    sweep_stats, interrupted)
-        edges: List[Edge] = []
-        cursor: Optional[tuple] = best_f
-        while cursor is not None and cursor[2] is not None:
-            edges.append(cursor[2])
-            cursor = cursor[3]
-        edges.reverse()
-        edges.append(best_edge)
-        cursor = best_bb
-        while cursor is not None and cursor[2] is not None:
-            edges.append(cursor[2])
-            cursor = cursor[3]
         return (Path.from_edges(edges), best_ssb, best_s, best_b,
                 sweep_stats, interrupted)
 

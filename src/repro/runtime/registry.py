@@ -344,7 +344,6 @@ def _run_colored_ssb_labels(problem: AssignmentProblem,
         weighting=weighting,
         beam_width=options.get("beam_width", 128),
         frontier=options.get("frontier", "bucketed"),
-        dominance_window=options.get("dominance_window", 128),
         direction=options.get("direction", "forward"))
     result = search.search(graph.dwg, context=options.get("context"))
     if not result.found:

@@ -124,32 +124,33 @@ class TestCancellation:
         assert result.status == "feasible"
         assert result.interrupted == "cancelled"
 
-    def test_cancel_during_settle_leaves_pareto_state_consistent(self,
-                                                                 monkeypatch):
-        # fire the cancel from inside ParetoStore.settle — mid-sweep, between
-        # dominance filtering and extension — and verify both that the
-        # interrupted solve still answers and that the engine solves exactly
-        # afterwards (no half-settled store leaks into anything shared).
-        # The scalar bucketed backend is forced (numpy "absent"): it is the
-        # one that settles a ParetoStore per swept node.
-        from repro.core import frontier, label_search
+    @pytest.mark.parametrize("direction", ["forward", "bidirectional"])
+    def test_cancel_during_settle_leaves_pareto_state_consistent(
+            self, monkeypatch, direction):
+        # fire the cancel from inside the block kernels' Pareto filter —
+        # mid-sweep, while a node's bucket settles, before its extension —
+        # and verify both that the interrupted solve still answers and that
+        # the engine solves exactly afterwards (no half-settled bucket leaks
+        # into anything shared).
+        from repro.core import label_search
 
-        monkeypatch.setattr(label_search, "HAVE_NUMPY", False)
         context = SolveContext()
-        original = frontier.ParetoStore.settle
+        original = label_search.pareto_block_mask
 
-        def cancelling_settle(self, *args, **kwargs):
+        def cancelling_mask(*args, **kwargs):
             context.cancel()
-            return original(self, *args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(frontier.ParetoStore, "settle", cancelling_settle)
-        result = solve(PROBLEM, method="colored-ssb-labels", context=context)
+        monkeypatch.setattr(label_search, "pareto_block_mask", cancelling_mask)
+        result = solve(PROBLEM, method="colored-ssb-labels",
+                       direction=direction, context=context)
         assert result.assignment is not None
         assert result.assignment.is_feasible()
         assert result.interrupted == "cancelled"
         assert result.objective >= OPTIMUM - 1e-12
         monkeypatch.undo()
-        assert solve(PROBLEM, method="colored-ssb-labels").objective == OPTIMUM
+        assert solve(PROBLEM, method="colored-ssb-labels",
+                     direction=direction).objective == OPTIMUM
 
     def test_cancelled_status_when_no_incumbent_possible(self):
         # a runner that checkpoints before holding any incumbent surfaces as
