@@ -6,6 +6,8 @@ contracts against a naive O(F²) reference filter:
 * the surviving set equals the maximal elements of everything inserted,
   duplicates collapsed — *exactly*, for the eager inserts and the
   block-mask kernel;
+* the block-mask kernel and the eager store keep the *same rows*, ties
+  included (the first of two equal labels survives in both);
 * the result is independent of insertion order;
 * the structural invariants hold after every insert: σ ascending, at most
   one entry per load tuple, and for single-colour stores the full staircase
@@ -22,7 +24,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.frontier import ParetoStore, pareto_block_mask
+from repro.core.frontier import _MASK_BLOCK, ParetoStore, pareto_block_mask
 
 
 def naive_filter(items):
@@ -148,6 +150,50 @@ class TestBlockMask:
         keep = pareto_block_mask(sig, lds)
         survivors = {items[i] for i in range(len(items)) if keep[i]}
         assert survivors == naive_filter(items)
+
+    @pytest.mark.parametrize("dim", [0, 1, 2, 4])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mask_keeps_the_same_rows_as_the_eager_store(self, dim, seed):
+        # the two remaining implementations of one filter: same survivor
+        # rows, not just the same label set — exact duplicates must resolve
+        # to the earliest row in both
+        rng = random.Random(seed * 31 + dim)
+        items = random_items(rng, 400, dim)
+        sig = np.array([s for s, _ in items])
+        lds = np.array([l for _, l in items]).reshape(len(items), dim)
+        keep = pareto_block_mask(sig, lds)
+        store = ParetoStore(dim)
+        for i, (s, loads) in enumerate(items):
+            store.insert(s, loads, i)
+        assert set(np.nonzero(keep)[0].tolist()) == set(store.payloads())
+
+    @pytest.mark.parametrize("count", [1, _MASK_BLOCK - 1, _MASK_BLOCK,
+                                       _MASK_BLOCK + 1, 2 * _MASK_BLOCK,
+                                       2 * _MASK_BLOCK + 1])
+    def test_exact_mask_at_block_boundaries(self, count):
+        rng = random.Random(count)
+        items = random_items(rng, count, 2)
+        sig = np.array([s for s, _ in items])
+        lds = np.array([l for _, l in items]).reshape(len(items), 2)
+        keep = pareto_block_mask(sig, lds)
+        assert keep.shape == (count,)
+        survivors = {items[i] for i in range(count) if keep[i]}
+        assert survivors == naive_filter(items)
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_mask_is_independent_of_row_order(self, dim):
+        rng = random.Random(600 + dim)
+        items = random_items(rng, 300, dim, grid=4)
+        reference = None
+        for _ in range(6):
+            rng.shuffle(items)
+            sig = np.array([s for s, _ in items])
+            lds = np.array([l for _, l in items]).reshape(len(items), dim)
+            keep = pareto_block_mask(sig, lds)
+            survivors = {items[i] for i in range(len(items)) if keep[i]}
+            if reference is None:
+                reference = survivors
+            assert survivors == reference
 
     def test_windowed_mask_is_sound_and_between_bounds(self):
         rng = random.Random(5)

@@ -219,6 +219,27 @@ class TestFrontierBackends:
         assert bucketed.s_weight == linear.s_weight
         assert bucketed.b_weight == linear.b_weight
 
+    @pytest.mark.parametrize("direction", ["forward", "bidirectional"])
+    @pytest.mark.parametrize("window", [1, 32, 64])
+    def test_dominance_window_changes_filtering_only(self, monkeypatch,
+                                                     direction, window):
+        # a narrower dominator window lets more dominated labels survive the
+        # block filter; it costs time, never the optimum
+        import repro.core.label_search as ls
+
+        # large enough that buckets outgrow every tested window
+        problem = random_problem(n_processing=36, n_satellites=5, seed=4,
+                                 sensor_scatter=1.0)
+        graph = build_assignment_graph(problem)
+        reference = LabelDominanceSearch(direction=direction).search(graph.dwg)
+        monkeypatch.setattr(ls, "_DOMINANCE_WINDOW", window)
+        narrow = LabelDominanceSearch(direction=direction).search(graph.dwg)
+        # the window really changed the trajectory ...
+        assert narrow.stats.labels_created != reference.stats.labels_created
+        # ... and nothing else
+        assert narrow.found and narrow.path is not None
+        assert narrow.ssb_weight == reference.ssb_weight
+
     def test_colored_ssb_threads_the_backend_through(self):
         problem = random_problem(n_processing=12, n_satellites=3, seed=5,
                                  sensor_scatter=1.0)
