@@ -17,9 +17,10 @@ min-``S`` weight reaches the candidate value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
+from repro.core.context import SolveContext
 from repro.core.dwg import DoublyWeightedGraph, PathMeasures, SIGMA_ATTR
 from repro.graphs.dijkstra import shortest_path
 from repro.graphs.kshortest import iter_paths_by_weight
@@ -36,6 +37,7 @@ class SBResult:
     b_weight: float
     iteration_count: int = 0
     termination: str = "unknown"
+    interrupted: Optional[str] = None   #: "deadline"/"cancelled" if cut short
 
     @property
     def found(self) -> bool:
@@ -56,7 +58,11 @@ class SBSearch:
             return PathMeasures.b_weight_colored(path)
         return PathMeasures.b_weight_plain(path)
 
-    def search(self, dwg: DoublyWeightedGraph) -> SBResult:
+    def search(self, dwg: DoublyWeightedGraph,
+               context: Optional[SolveContext] = None) -> SBResult:
+        """Run the search.  ``context`` is checkpointed before the first
+        shortest path, then polled once per elimination iteration and per
+        enumerated path; once it fires the candidate held is returned."""
         work = dwg.copy()
         source, target = work.source, work.target
 
@@ -66,8 +72,17 @@ class SBSearch:
         candidate_b = float("inf")
         iterations = 0
         termination = "disconnected"
+        interrupted: Optional[str] = None
 
         while True:
+            if context is not None:
+                if candidate is None:
+                    context.checkpoint()
+                else:
+                    interrupted = context.interrupted()
+                    if interrupted is not None:
+                        termination = interrupted
+                        break
             path = shortest_path(work.graph, source, target, weight=SIGMA_ATTR)
             if path is None:
                 termination = "disconnected"
@@ -95,7 +110,13 @@ class SBSearch:
                 # back to enumerating paths in non-decreasing S order: since
                 # max(S, B) ≥ S the enumeration can stop as soon as S reaches
                 # the candidate value, which keeps the search exact.
+                termination = "enumeration"
                 for alt in iter_paths_by_weight(work.graph, source, target, weight=SIGMA_ATTR):
+                    if context is not None:
+                        interrupted = context.interrupted()
+                        if interrupted is not None:
+                            termination = interrupted
+                            break
                     alt_s = PathMeasures.s_weight(alt)
                     if alt_s >= candidate_sb:
                         break
@@ -105,17 +126,16 @@ class SBSearch:
                         candidate_sb = alt_sb
                         candidate_s = alt_s
                         candidate_b = self._b_weight(alt)
-                termination = "enumeration"
                 break
             work.graph.remove_edges(e.key for e in removable)
 
         if candidate is None:
             return SBResult(path=None, sb_weight=float("inf"), s_weight=float("inf"),
                             b_weight=float("inf"), iteration_count=iterations,
-                            termination=termination)
+                            termination=termination, interrupted=interrupted)
         return SBResult(path=candidate, sb_weight=candidate_sb, s_weight=candidate_s,
                         b_weight=candidate_b, iteration_count=iterations,
-                        termination=termination)
+                        termination=termination, interrupted=interrupted)
 
 
 def find_optimal_sb_path(dwg: DoublyWeightedGraph, colored: bool = False) -> SBResult:

@@ -17,6 +17,7 @@ import itertools
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.context import SolveContext
 from repro.extensions.dag_model import DAGPlacement, DAGTaskGraph, ResourceGraph
 
 
@@ -41,9 +42,11 @@ def upward_ranks(tasks: DAGTaskGraph, resources: ResourceGraph) -> Dict[str, flo
     return ranks
 
 
-def heft_placement(tasks: DAGTaskGraph, resources: ResourceGraph
+def heft_placement(tasks: DAGTaskGraph, resources: ResourceGraph,
+                   context: Optional[SolveContext] = None
                    ) -> Tuple[DAGPlacement, Dict[str, object]]:
-    """Greedy earliest-finish-time list scheduling (HEFT-style)."""
+    """Greedy earliest-finish-time list scheduling (HEFT-style); ``context``
+    is checkpointed per placed task (a partial schedule is no placement)."""
     ranks = upward_ranks(tasks, resources)
     order = sorted(tasks.task_ids(), key=lambda t: ranks[t], reverse=True)
     # keep dependency order: a task can only be placed after its predecessors
@@ -64,6 +67,8 @@ def heft_placement(tasks: DAGTaskGraph, resources: ResourceGraph
     finish: Dict[str, float] = {}
 
     for task_id in placed_order:
+        if context is not None:
+            context.checkpoint()
         best_resource = None
         best_finish = float("inf")
         for resource_id in _candidate_resources(tasks, resources, task_id):
@@ -130,9 +135,11 @@ def exhaustive_dag_placement(tasks: DAGTaskGraph, resources: ResourceGraph
 
 def genetic_dag_placement(tasks: DAGTaskGraph, resources: ResourceGraph,
                           population_size: int = 30, generations: int = 40,
-                          mutation_rate: float = 0.1, seed: Optional[int] = None
+                          mutation_rate: float = 0.1, seed: Optional[int] = None,
+                          context: Optional[SolveContext] = None
                           ) -> Tuple[DAGPlacement, Dict[str, object]]:
-    """Genetic algorithm over the task->resource mapping vector."""
+    """Genetic algorithm over the task->resource mapping vector; ``context``
+    is polled per generation and the best placement so far returned."""
     rng = random.Random(seed)
     task_ids = tasks.task_ids()
     candidates = [_candidate_resources(tasks, resources, t) for t in task_ids]
@@ -149,8 +156,13 @@ def genetic_dag_placement(tasks: DAGTaskGraph, resources: ResourceGraph,
     population = [random_genome() for _ in range(population_size)]
     scores = [fitness(g) for g in population]
     evaluations = population_size
+    interrupted: Optional[str] = None
 
     for _ in range(generations):
+        if context is not None:
+            interrupted = context.interrupted()
+            if interrupted is not None:
+                break
         ranked = sorted(range(population_size), key=lambda i: scores[i])
         elite = [list(population[i]) for i in ranked[:2]]
         next_population = elite[:]
@@ -168,4 +180,8 @@ def genetic_dag_placement(tasks: DAGTaskGraph, resources: ResourceGraph,
 
     best_index = min(range(population_size), key=lambda i: scores[i])
     best = DAGPlacement(tasks, resources, dict(zip(task_ids, population[best_index])))
-    return best, {"makespan": scores[best_index], "evaluations": evaluations}
+    details: Dict[str, object] = {"makespan": scores[best_index],
+                                  "evaluations": evaluations}
+    if interrupted is not None:
+        details["interrupted"] = interrupted
+    return best, details

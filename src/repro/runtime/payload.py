@@ -1,6 +1,6 @@
 """Task preparation and the worker-side solve payload.
 
-One batch task goes through the same three steps no matter which execution
+One batch task goes through the same steps no matter which execution
 backend runs it — the in-process loop, the ``ProcessPoolExecutor`` fan-out of
 :class:`~repro.runtime.runner.BatchRunner`, or a :mod:`repro.distributed`
 worker pulling from a filesystem spool on another host:
@@ -12,8 +12,10 @@ worker pulling from a filesystem spool on another host:
    another task's result or be replayed from the cache);
 2. **encode** (:func:`task_payload`) — flatten the prepared task into a
    JSON-safe dict that can cross a process boundary or rest in a spool file;
-3. **solve** (:func:`solve_payload`) — rebuild the instance from the payload
-   and dispatch through the solver facade, reporting errors as data.
+3. **solve** (:func:`solve_problem`) — run the resolved spec on a live
+   instance and report the outcome (errors included) as a JSON-safe dict.
+   :func:`solve_payload` is the worker-side entry: it decodes a payload and
+   then takes the same step; the in-process lane skips the encoding.
 
 Keeping the three steps here (instead of private to the runner) is what lets
 the distributed queue path share semantics with the batch path bit-for-bit:
@@ -165,19 +167,14 @@ def task_payload(prep: PreparedTask, validate: bool = True,
 
 def solve_payload(payload: Dict[str, Any],
                   context: Optional[SolveContext] = None) -> Dict[str, Any]:
-    """Solve one JSON-encoded task; never raises (errors are data).
+    """Decode one JSON-encoded task, then take :func:`solve_problem`.
 
-    A ``"deadline_s"`` field in the payload builds a cooperative
-    :class:`~repro.core.context.SolveContext` when the caller does not
-    inject one (the distributed worker passes its own, clamped to the
-    remaining lease and wired to the progress heartbeat).  The outcome
-    carries ``status`` and ``incumbent_history``; a solve the context cut
-    short before any incumbent existed is reported as an error *with* its
-    terminal status, so streams can tell a timeout from a crash.
+    Never raises (errors are data).  The distributed worker injects its own
+    ``context`` (clamped to the lease, wired to the heartbeat); otherwise the
+    payload's ``"deadline_s"`` builds one.
     """
-    from repro.core.solver import solve
     from repro.model.serialization import problem_from_json
-    from repro.runtime.cache import json_safe_details
+    from repro.runtime.registry import default_registry
 
     span = None
     trace = payload.get("trace")
@@ -200,16 +197,43 @@ def solve_payload(payload: Dict[str, Any],
         weighting = payload.get("weighting")
         if weighting is not None:
             weighting = SSBWeighting(*weighting)
-        if context is None and (payload.get("deadline_s") is not None
-                                or span is not None):
-            context = SolveContext(deadline_s=payload.get("deadline_s"))
+        spec = default_registry().resolve(payload["method"])
+    except Exception as exc:  # noqa: BLE001 - worker must report, not crash
+        return _error_outcome(payload["key"], exc, span)
+    return solve_problem(payload["key"], problem, spec, weighting=weighting,
+                         options=payload.get("options", {}),
+                         validate=payload.get("validate", True),
+                         deadline_s=payload.get("deadline_s"),
+                         context=context, span=span)
+
+
+def solve_problem(key: str, problem: Any, spec: Any,
+                  weighting: Optional[SSBWeighting] = None,
+                  options: Optional[Dict[str, Any]] = None,
+                  validate: bool = True,
+                  deadline_s: Optional[float] = None,
+                  context: Optional[SolveContext] = None,
+                  span: Optional[Any] = None) -> Dict[str, Any]:
+    """The one solve step of every backend: run ``spec`` on a live problem
+    into the outcome dict; never raises (errors are data).
+
+    ``deadline_s`` builds a context when none is given; ``span`` rides on
+    it and is finished here.  A solve cut short before any incumbent existed
+    is an error *with* its terminal status, so streams can tell a timeout
+    from a crash.
+    """
+    from repro.runtime.cache import json_safe_details
+
+    try:
+        if context is None and (deadline_s is not None or span is not None):
+            context = SolveContext(deadline_s=deadline_s)
         if context is not None and span is not None and context.span is None:
             context.span = span
         started = time.perf_counter()
-        result = solve(problem, method=payload["method"], weighting=weighting,
-                       validate=payload.get("validate", True),
-                       context=context,
-                       **payload.get("options", {}))
+        if validate:
+            problem.validate()
+        result = spec.solve(problem, weighting=weighting, context=context,
+                            **(options or {}))
         elapsed = time.perf_counter() - started
         history = [[round(t, 6), objective, source]
                    for t, objective, source in result.incumbent_history]
@@ -220,7 +244,7 @@ def solve_payload(payload: Dict[str, Any],
             span.finish()
         if result.assignment is None:
             return {
-                "key": payload["key"],
+                "key": key,
                 "ok": False,
                 "status": result.status,
                 "error": f"{result.status}: the context fired before any "
@@ -228,7 +252,7 @@ def solve_payload(payload: Dict[str, Any],
                 "incumbent_history": history,
             }
         outcome = {
-            "key": payload["key"],
+            "key": key,
             "ok": True,
             "method": result.method,
             "status": result.status,
@@ -242,17 +266,19 @@ def solve_payload(payload: Dict[str, Any],
             outcome["interrupted"] = result.interrupted
         return outcome
     except Exception as exc:  # noqa: BLE001 - worker must report, not crash
-        if span is not None:
-            span.finish(error=format_error(exc))
-        outcome = {
-            "key": payload["key"],
-            "ok": False,
-            "error": format_error(exc),
-        }
-        diagnostics = error_details(exc)
-        if diagnostics:
-            outcome["details"] = diagnostics
-        return outcome
+        return _error_outcome(key, exc, span)
+
+
+def _error_outcome(key: str, exc: BaseException,
+                   span: Optional[Any]) -> Dict[str, Any]:
+    if span is not None:
+        span.finish(error=format_error(exc))
+    outcome: Dict[str, Any] = {"key": key, "ok": False,
+                               "error": format_error(exc)}
+    diagnostics = error_details(exc)
+    if diagnostics:
+        outcome["details"] = diagnostics
+    return outcome
 
 
 def outcome_cacheable(outcome: Dict[str, Any]) -> bool:

@@ -34,12 +34,11 @@ The default registry carries the paper's algorithm plus every baseline:
 ``portfolio``          staged racing portfolio under one anytime context
                        (alias ``auto``)
 
-Anytime capability metadata: specs flagged ``supports_deadline`` observe a
-:class:`~repro.core.context.SolveContext` cooperatively; ``anytime`` ones
-additionally return their best incumbent as a ``feasible`` result when the
-context fires.  Specs without the flag (``sb-bottleneck``, ``dag-heft``,
-``dag-genetic``) run to completion; the batch runner keeps a hard-kill
-process timeout as the fallback for exactly those.
+Deadline contract: every spec is handed the caller's
+:class:`~repro.core.context.SolveContext` and polls it.  ``anytime`` specs
+return their best incumbent as a ``feasible`` result when it fires; the one
+non-anytime spec, ``dag-heft``, has no partial answer and surfaces as a
+``timeout``/``cancelled`` result instead.
 """
 
 from __future__ import annotations
@@ -80,6 +79,18 @@ def _observe_convergence(method: str, history: List[Any]) -> None:
     ).observe(history[-1][0], method=method)
 
 
+def _observe_overshoot(method: str, context: Optional[SolveContext]) -> None:
+    """Record how many seconds past its deadline a solve returned (0 when
+    on time); context-free and budget-free solves record nothing."""
+    if context is None or context.deadline is None:
+        return
+    default_metrics().histogram(
+        "repro_deadline_overshoot_seconds",
+        "Seconds a deadline-bounded solve returned past its deadline, "
+        "by method",
+    ).observe(max(0.0, context.clock() - context.deadline), method=method)
+
+
 class UnknownSolverError(ValueError):
     """Raised when a method name matches neither a solver nor an alias."""
 
@@ -106,7 +117,6 @@ class SolverSpec:
     exact: bool = False                 #: guaranteed to return the optimum
     stochastic: bool = False            #: consumes a ``seed`` option
     supports_weighting: bool = False    #: honours an SSBWeighting objective
-    supports_deadline: bool = False     #: observes a SolveContext cooperatively
     anytime: bool = False               #: returns a feasible incumbent on expiry
     complexity: str = "?"               #: informal worst-case complexity
     aliases: Tuple[str, ...] = ()
@@ -118,20 +128,17 @@ class SolverSpec:
               **options: Any) -> "SolverResult":
         """Run the method and wrap the outcome in a uniform result record.
 
-        ``context`` is forwarded into the runner (as the ``"context"``
-        option) only for specs flagged ``supports_deadline`` — other
-        runners never see it and run to completion as before.  The result's
-        ``status`` is derived here: ``optimal`` for an exact spec that ran
-        uninterrupted, ``feasible`` otherwise; a context that fires before
-        the solver holds any incumbent surfaces as a ``timeout``/
-        ``cancelled`` result with no assignment.
+        ``context`` is forwarded into the runner as the ``"context"``
+        option.  The result's ``status`` is derived here: ``optimal`` for an
+        exact spec that ran uninterrupted, ``feasible`` otherwise; a context
+        that fires before the solver holds any incumbent surfaces as a
+        ``timeout``/``cancelled`` result with no assignment.  A context
+        with a deadline also records how far past it the solve returned.
         """
         from repro.core.solver import SolverResult
 
         started = time.perf_counter()
-        run_options = dict(options)
-        if context is not None and self.supports_deadline:
-            run_options["context"] = context
+        run_options = dict(options, context=context)
         # On a traced solve, wrap this method in its own child span and point
         # context.span at it for the runner's duration, so hot-path profiling
         # (and incumbent events fired inside the runner) attach to the method
@@ -150,6 +157,7 @@ class SolverSpec:
             interrupted_history = (list(context.incumbent_history)
                                    if context is not None else [])
             _observe_convergence(self.name, interrupted_history)
+            _observe_overshoot(self.name, context)
             return SolverResult(
                 method=self.name,
                 assignment=None,
@@ -166,12 +174,6 @@ class SolverSpec:
             raise
         elapsed = time.perf_counter() - started
         objective = assignment.end_to_end_delay()
-        if (context is not None and not self.supports_deadline
-                and context.deadline is not None):
-            # this spec cannot observe the budget; say so rather than letting
-            # the caller believe their deadline was enforced (the batch
-            # runner's hard-kill fallback is the enforcing path for these)
-            details.setdefault("deadline_ignored", True)
         interrupted = details.get("interrupted")
         status = STATUS_OPTIMAL if (self.exact and not interrupted) \
             else STATUS_FEASIBLE
@@ -187,6 +189,7 @@ class SolverSpec:
             context.report_incumbent(objective, source=self.name)
             history = list(context.incumbent_history)
             _observe_convergence(self.name, history)
+            _observe_overshoot(self.name, context)
         return SolverResult(
             method=self.name,
             assignment=assignment,
@@ -205,7 +208,6 @@ class SolverSpec:
             "exact": self.exact,
             "stochastic": self.stochastic,
             "supports_weighting": self.supports_weighting,
-            "supports_deadline": self.supports_deadline,
             "anytime": self.anytime,
             "complexity": self.complexity,
             "aliases": list(self.aliases),
@@ -432,7 +434,7 @@ def _run_pareto_dp_pruned(problem, weighting, options):
 
 def _run_bokhari_sb(problem, weighting, options):
     from repro.baselines import bokhari_sb_assignment
-    return bokhari_sb_assignment(problem)
+    return bokhari_sb_assignment(problem, context=options.get("context"))
 
 
 def _run_greedy(problem, weighting, options):
@@ -460,7 +462,8 @@ def _run_dag_heft(problem, weighting, options):
     from repro.extensions.dag_heuristics import heft_placement
 
     tasks, resources = problem_to_dag(problem)
-    placement, info = heft_placement(tasks, resources)
+    placement, info = heft_placement(tasks, resources,
+                                     context=options.get("context"))
     assignment = dag_placement_to_assignment(problem, placement)
     return assignment, {"dag_makespan": info["makespan"],
                         "projected_delay": assignment.end_to_end_delay()}
@@ -476,11 +479,15 @@ def _run_dag_genetic(problem, weighting, options):
         population_size=options.get("population_size", 30),
         generations=options.get("generations", 40),
         mutation_rate=options.get("mutation_rate", 0.1),
-        seed=options.get("seed"))
+        seed=options.get("seed"),
+        context=options.get("context"))
     assignment = dag_placement_to_assignment(problem, placement)
-    return assignment, {"dag_makespan": info["makespan"],
-                        "dag_evaluations": info["evaluations"],
-                        "projected_delay": assignment.end_to_end_delay()}
+    details = {"dag_makespan": info["makespan"],
+               "dag_evaluations": info["evaluations"],
+               "projected_delay": assignment.end_to_end_delay()}
+    if "interrupted" in info:
+        details["interrupted"] = info["interrupted"]
+    return assignment, details
 
 
 def _run_portfolio(problem, weighting, options):
@@ -497,7 +504,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="colored-ssb",
         runner=_run_colored_ssb,
-        supports_deadline=True,
         anytime=True,
         description="the paper's adapted SSB search on the coloured assignment graph",
         exact=True,
@@ -507,7 +513,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="colored-ssb-labels",
         runner=_run_colored_ssb_labels,
-        supports_deadline=True,
         anytime=True,
         description="label-dominance DAG sweep on the coloured assignment graph",
         exact=True,
@@ -518,7 +523,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="colored-ssb-bidir",
         runner=_run_colored_ssb_bidir,
-        supports_deadline=True,
         anytime=True,
         description="bidirectional label sweep: forward and backward "
                     "half-sweeps meet in the middle of the assignment DAG "
@@ -535,7 +539,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="colored-ssb-incremental",
         runner=_run_colored_ssb_incremental,
-        supports_deadline=True,
         anytime=True,
         description="label-dominance sweep warm-started from the last solve "
                     "of the same tree structure (profiles/costs may differ)",
@@ -547,7 +550,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="brute-force",
         runner=_run_brute_force,
-        supports_deadline=True,
         anytime=True,
         description="full enumeration of feasible cuts (exact reference)",
         exact=True,
@@ -557,7 +559,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="pareto-dp",
         runner=_run_pareto_dp,
-        supports_deadline=True,
         anytime=True,
         description="Pareto-frontier tree DP (exact reference, full frontier)",
         exact=True,
@@ -570,7 +571,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="pareto-dp-pruned",
         runner=_run_pareto_dp_pruned,
-        supports_deadline=True,
         anytime=True,
         description="bound-pruned Pareto tree DP: beam-pre-pass incumbent + "
                     "completion-DAG potentials, exact optimum without "
@@ -587,6 +587,7 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="sb-bottleneck",
         runner=_run_bokhari_sb,
+        anytime=True,
         description="Bokhari's bottleneck objective max(host, max satellite)",
         complexity="polynomial (SB path search)",
         aliases=("bokhari-sb",),
@@ -594,7 +595,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="greedy",
         runner=_run_greedy,
-        supports_deadline=True,
         anytime=True,
         description="hill-climbing from the maximal-offload cut",
         complexity="O(steps * |T|)",
@@ -602,7 +602,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="random-search",
         runner=_run_random_search,
-        supports_deadline=True,
         anytime=True,
         description="best of N uniformly sampled feasible cuts",
         stochastic=True,
@@ -612,7 +611,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="genetic",
         runner=_run_genetic,
-        supports_deadline=True,
         anytime=True,
         description="genetic algorithm over offload-preference chromosomes",
         stochastic=True,
@@ -621,7 +619,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="branch-and-bound",
         runner=_run_branch_and_bound,
-        supports_deadline=True,
         anytime=True,
         description="exact branch-and-bound over feasible cuts",
         exact=True,
@@ -638,6 +635,7 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
     SolverSpec(
         name="dag-genetic",
         runner=_run_dag_genetic,
+        anytime=True,
         description="genetic placement on the §6 DAG relaxation, "
                     "projected back to a feasible cut",
         stochastic=True,
@@ -651,7 +649,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
                     "all under one shared anytime context",
         exact=True,
         supports_weighting=True,
-        supports_deadline=True,
         anytime=True,
         complexity="dominated by the label sweep; greedy seed is O(steps·|T|)",
         aliases=("auto",),

@@ -5,10 +5,12 @@ instances across ``concurrent.futures.ProcessPoolExecutor`` workers:
 
 * instances cross the process boundary as canonical JSON (the same format the
   CLI reads/writes), so workers never depend on picklability of live objects;
-* tasks are grouped into **chunks** to amortise IPC overhead, and each chunk
-  gets a deadline of ``task_timeout * len(chunk)`` — a chunk that blows its
-  deadline is recorded as a per-task ``timeout`` error instead of hanging the
+* tasks are grouped into **chunks** to amortise IPC overhead; a worker that
+  dies mid-chunk is recorded as a per-task error instead of aborting the
   sweep;
+* a task's budget is its ``deadline_s``: every registered spec polls the
+  cooperative :class:`~repro.core.context.SolveContext` built from it and
+  returns its best incumbent when it fires, so no worker is ever killed;
 * stochastic methods (per the registry's ``stochastic`` flag) receive an
   **explicitly derived seed** — a stable hash of ``(base_seed, problem hash,
   method, options)`` — so a sweep is reproducible and *order-independent*:
@@ -17,15 +19,16 @@ instances across ``concurrent.futures.ProcessPoolExecutor`` workers:
   a warm repeat of a sweep returns identical objectives without re-solving,
   and duplicate instances inside one batch are solved only once.
 
-``workers=0`` (the default) solves in-process — no pickling, full
-:class:`~repro.core.solver.SolverResult` objects preserved — which is what
-the experiment drivers use unless ``REPRO_BATCH_WORKERS`` says otherwise.
+``workers=0`` (the default) solves in-process on the caller's own problem
+objects — no encoding, no pickling — which is what the experiment drivers
+use unless ``REPRO_BATCH_WORKERS`` says otherwise.  Both lanes run the same
+solve step (:func:`~repro.runtime.payload.solve_problem`) and produce the
+same outcome dicts.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -38,17 +41,17 @@ from repro.observability.metrics import default_metrics
 from repro.observability.tracing import Tracer
 from repro.runtime.cache import (
     ResultCache,
-    cache_entry_from_result,
     cache_get_with_source,
-    json_safe_details,
     make_cache_entry,
 )
 from repro.runtime.payload import (
     PreparedTask,
     derive_seed,
     format_error as _format_error,
+    outcome_cacheable,
     prepare_tasks,
     solve_payload_chunk as _solve_payload_chunk,
+    solve_problem,
     task_payload,
 )
 from repro.runtime.registry import SolverRegistry, default_registry
@@ -71,8 +74,7 @@ class BatchTask:
     weighting: Optional[SSBWeighting] = None
     seed: Optional[int] = None          #: explicit seed (stochastic methods)
     tag: Optional[str] = None           #: caller-provided identifier
-    deadline_s: Optional[float] = None  #: cooperative per-task budget (anytime
-                                        #: specs return a feasible incumbent)
+    deadline_s: Optional[float] = None  #: cooperative per-task budget
 
 
 @dataclass
@@ -92,7 +94,6 @@ class BatchItemResult:
     placement: Optional[Dict[str, str]] = None
     details: Dict[str, Any] = field(default_factory=dict)
     assignment: Optional[Any] = None        #: reconstructed Assignment
-    solver_result: Optional[Any] = None     #: full SolverResult (in-process only)
     status: Optional[str] = None            #: optimal/feasible/timeout/cancelled
     incumbent_history: List[Any] = field(default_factory=list)
 
@@ -169,18 +170,6 @@ class BatchRunner:
     chunk_size:
         Tasks per inter-process message.  Default: enough chunks for ~4
         rounds per worker.
-    task_timeout:
-        Per-task budget in seconds.  For specs flagged ``supports_deadline``
-        (every exact engine and heuristic except ``sb-bottleneck`` and the
-        DAG-relaxation bridges) this becomes a **cooperative deadline**: the
-        solver observes it at iteration granularity and returns its best
-        incumbent as a ``feasible`` result — no worker is killed, no pool is
-        respawned, and it works on the in-process serial path too.  Specs
-        without the flag fall back to the historical **hard-kill** path
-        (``multiprocessing.Pool`` with a chunk deadline of ``task_timeout *
-        len(chunk)``, timed-out tasks reported as errors), which requires
-        process workers; pool startup and queue wait count toward the first
-        chunks' deadlines there.
     cache:
         Optional :class:`~repro.runtime.cache.ResultCache`; consulted before
         dispatch, fed after every successful solve.
@@ -190,7 +179,7 @@ class BatchRunner:
         When set, every stochastic task without an explicit seed receives a
         seed derived from ``(base_seed, problem hash, method, options)``.
     validate:
-        Forwarded to :func:`repro.core.solver.solve`.
+        Validate each instance before solving it.
     tracer:
         Optional :class:`~repro.observability.tracing.Tracer`.  When set
         (and enabled), every dispatched task gets a root span whose context
@@ -202,7 +191,6 @@ class BatchRunner:
     def __init__(self,
                  workers: Optional[int] = None,
                  chunk_size: Optional[int] = None,
-                 task_timeout: Optional[float] = None,
                  cache: Optional[ResultCache] = None,
                  registry: Optional[SolverRegistry] = None,
                  base_seed: Optional[int] = None,
@@ -214,11 +202,8 @@ class BatchRunner:
             raise ValueError("workers must be >= 0")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be positive")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError("task_timeout must be positive")
         self.workers = workers
         self.chunk_size = chunk_size
-        self.task_timeout = task_timeout
         self.cache = cache
         self.registry = registry if registry is not None else default_registry()
         self.base_seed = base_seed
@@ -260,18 +245,6 @@ class BatchRunner:
                       for task in tasks]
 
         prepared = prepare_tasks(normalized, self.registry, self.base_seed)
-        # fold the runner-wide budget into every deadline-capable task: the
-        # effective budget is the tighter of task_timeout and the task's own
-        # deadline_s, so a loose per-task value can never bypass the runner
-        # cap; non-capable specs keep deadline_s as-is and are covered by
-        # the hard-kill fallback instead
-        if self.task_timeout is not None:
-            for prep in prepared:
-                if prep.spec.supports_deadline:
-                    prep.deadline_s = (self.task_timeout
-                                       if prep.deadline_s is None
-                                       else min(prep.deadline_s,
-                                                self.task_timeout))
         items = [BatchItemResult(index=index, tag=prep.task.tag,
                                  method=prep.spec.name, key=prep.key,
                                  seed=prep.seed)
@@ -298,10 +271,13 @@ class BatchRunner:
         unique_indices = [indices[0] for indices in by_key.values()]
 
         if unique_indices:
-            if self.workers == 0:
-                outcomes = self._run_serial(unique_indices, prepared)
-            else:
-                outcomes = self._run_parallel(unique_indices, prepared)
+            serial = self.workers == 0
+            default_metrics().counter(
+                "repro_batch_lane_total",
+                "Batch tasks routed per dispatch lane").inc(
+                len(unique_indices), lane="serial" if serial else "process")
+            run_lane = self._run_serial if serial else self._run_parallel
+            outcomes = run_lane(unique_indices, prepared)
             for key, outcome in outcomes.items():
                 for position, index in enumerate(by_key[key]):
                     self._apply_outcome(items[index], prepared[index], outcome)
@@ -341,70 +317,23 @@ class BatchRunner:
     # ------------------------------------------------------------- backends
     def _run_serial(self, indices: List[int],
                     prepared: List[PreparedTask]) -> Dict[str, Any]:
-        from repro.core.context import SolveContext
-
-        default_metrics().counter(
-            "repro_batch_lane_total",
-            "Batch tasks routed per dispatch lane").inc(
-            len(indices), lane="serial")
+        """Solve in this process, on the caller's own problem objects."""
         outcomes: Dict[str, Any] = {}
         for index in indices:
             prep = prepared[index]
             task: BatchTask = prep.task
-            if ((self.task_timeout is not None or prep.deadline_s is not None)
-                    and not prep.spec.supports_deadline):
-                # the serial path cannot hard-kill a running solver, and the
-                # spec cannot observe a cooperative deadline either: flag it
-                # instead of silently running unbounded
-                outcomes[prep.key] = {
-                    "ok": False,
-                    "error": f"timeout: method {prep.spec.name!r} does not "
-                             f"support cooperative deadlines; the hard-kill "
-                             f"fallback requires process workers "
-                             f"(workers >= 1)",
-                }
-                continue
-            context = (SolveContext(deadline_s=prep.deadline_s)
-                       if prep.deadline_s is not None else None)
-            span = self._root_span(prep, name="solve")
-            if span is not None:
-                if context is None:
-                    context = SolveContext()
-                context.span = span
-            try:
-                if self.validate:
-                    task.problem.validate()
-                result = prep.spec.solve(task.problem, weighting=task.weighting,
-                                         context=context, **prep.options)
-                outcomes[prep.key] = result
-                if span is not None:
-                    span.finish(status=getattr(result, "status", None),
-                                objective=getattr(result, "objective", None))
-            except Exception as exc:  # noqa: BLE001 - batch keeps going
-                if span is not None:
-                    span.finish(error=_format_error(exc))
-                outcomes[prep.key] = {"ok": False, "error": _format_error(exc)}
+            outcomes[prep.key] = solve_problem(
+                prep.key, task.problem, prep.spec, weighting=task.weighting,
+                options=prep.options, validate=self.validate,
+                deadline_s=prep.deadline_s,
+                span=self._root_span(prep, name="solve"))
         return outcomes
-
-    @staticmethod
-    def _cooperative(prep: PreparedTask) -> bool:
-        return prep.spec.supports_deadline
 
     def _run_parallel(self, indices: List[int],
                       prepared: List[PreparedTask]) -> Dict[str, Any]:
-        """Fan out over processes.
-
-        Deadline-capable tasks carry their budget *inside* the payload (the
-        worker builds a cooperative context; the pool is a plain
-        ``ProcessPoolExecutor`` that is never killed).  Only budgeted tasks
-        whose spec lacks ``supports_deadline`` — whether the budget came
-        from ``task_timeout`` or a per-task ``deadline_s`` — go through the
-        hard-kill ``multiprocessing.Pool`` fallback, so the two timeout
-        mechanisms can never double-fire on the same task and a user-set
-        deadline is never silently dropped.
-        """
-        cooperative: List[Dict[str, Any]] = []
-        hard_kill: List[Dict[str, Any]] = []
+        """Fan out over one ``ProcessPoolExecutor``; each task's budget rides
+        inside its payload and the worker builds the cooperative context."""
+        payloads: List[Dict[str, Any]] = []
         spans: Dict[str, Any] = {}
         for index in indices:
             prep = prepared[index]
@@ -413,33 +342,13 @@ class BatchRunner:
             if span is not None:
                 spans[prep.key] = span
                 trace = span.context()
-            payload = task_payload(prep, validate=self.validate, trace=trace)
-            if self._cooperative(prep):
-                cooperative.append(payload)
-            elif self.task_timeout is not None or prep.deadline_s is not None:
-                hard_kill.append(payload)
-            else:
-                cooperative.append(payload)     # unbudgeted: plain executor
-
-        lane_total = default_metrics().counter(
-            "repro_batch_lane_total", "Batch tasks routed per dispatch lane")
-        outcomes: Dict[str, Any] = {}
-        if cooperative:
-            lane_total.inc(len(cooperative), lane="cooperative")
-            outcomes.update(self._collect_executor(
-                self._chunked(cooperative)))
-        if hard_kill:
-            lane_total.inc(len(hard_kill), lane="hard_kill")
-            outcomes.update(self._collect_pool_with_deadlines(
-                self._chunked(hard_kill)))
+            payloads.append(task_payload(prep, validate=self.validate,
+                                         trace=trace))
+        outcomes = self._collect_executor(self._chunked(payloads))
         for key, span in spans.items():
-            outcome = outcomes.get(key)
-            if isinstance(outcome, Mapping):
-                span.finish(status=outcome.get("status"),
-                            ok=outcome.get("ok"),
-                            objective=outcome.get("objective"))
-            else:
-                span.finish()
+            span.finish(status=outcomes[key].get("status"),
+                        ok=outcomes[key]["ok"],
+                        objective=outcomes[key].get("objective"))
         return outcomes
 
     def _chunked(self, payloads: List[Dict[str, Any]]
@@ -452,7 +361,8 @@ class BatchRunner:
 
     def _collect_executor(self, chunks: List[List[Dict[str, Any]]]
                           ) -> Dict[str, Any]:
-        """No deadlines: ProcessPoolExecutor (detects dead workers)."""
+        """Collect every chunk; a chunk whose worker died (broken pool)
+        becomes a per-task error."""
         outcomes: Dict[str, Any] = {}
         with ProcessPoolExecutor(max_workers=self.workers) as executor:
             futures = [(executor.submit(_solve_payload_chunk, chunk), chunk)
@@ -467,61 +377,6 @@ class BatchRunner:
                             "ok": False,
                             "error": _format_error(exc),
                         })
-        return outcomes
-
-    def _collect_pool_with_deadlines(self, chunks: List[List[Dict[str, Any]]]
-                                     ) -> Dict[str, Any]:
-        """With deadlines: multiprocessing.Pool, whose ``terminate()`` can
-        hard-kill workers still grinding on a timed-out task."""
-        outcomes: Dict[str, Any] = {}
-        timed_out = False
-        pool = multiprocessing.get_context().Pool(processes=self.workers)
-        try:
-            async_results = [(pool.apply_async(_solve_payload_chunk, (chunk,)),
-                              chunk) for chunk in chunks]
-            for async_result, chunk in async_results:
-                # After one chunk blows its deadline the pool is going to be
-                # terminated anyway, so later chunks only get a token wait:
-                # finished results are still collected, everything else is
-                # flagged instead of serially burning one deadline per chunk.
-                # A task's budget is the tighter of its own deadline_s and
-                # the runner-wide task_timeout (every payload routed here
-                # has at least one of the two; 0.0 is a valid budget, so
-                # None-ness, not falsiness, picks the fallback) — a loose
-                # per-task value must not bypass the runner cap here any
-                # more than on the cooperative path.
-                per_task = [
-                    self.task_timeout if payload.get("deadline_s") is None
-                    else payload["deadline_s"] if self.task_timeout is None
-                    else min(payload["deadline_s"], self.task_timeout)
-                    for payload in chunk]
-                deadline = 0.05 if timed_out else sum(per_task)
-                try:
-                    for outcome in async_result.get(timeout=deadline):
-                        outcomes[outcome["key"]] = outcome
-                except multiprocessing.TimeoutError:
-                    message = (f"timeout: batch aborted after an earlier chunk "
-                               f"exceeded its deadline" if timed_out else
-                               f"timeout: chunk exceeded {deadline:.3g}s "
-                               f"({min(per_task):.3g}-{max(per_task):.3g}s/task)")
-                    timed_out = True
-                    for payload in chunk:
-                        outcomes.setdefault(payload["key"], {
-                            "ok": False,
-                            "error": message,
-                        })
-                except Exception as exc:  # noqa: BLE001 - keep the batch going
-                    for payload in chunk:
-                        outcomes.setdefault(payload["key"], {
-                            "ok": False,
-                            "error": _format_error(exc),
-                        })
-        finally:
-            if timed_out:
-                pool.terminate()
-            else:
-                pool.close()
-            pool.join()
         return outcomes
 
     # ------------------------------------------------------------ result fan
@@ -542,40 +397,17 @@ class BatchRunner:
                                          placement=item.placement)
 
     def _apply_outcome(self, item: BatchItemResult, prep: PreparedTask,
-                       outcome: Any) -> None:
-        from repro.runtime.payload import outcome_cacheable
-
-        # outcome is either a SolverResult (serial path) or a worker dict
-        if isinstance(outcome, dict):
-            if not outcome.get("ok", False):
-                item.error = outcome.get("error", "unknown error")
-                item.status = outcome.get("status") or item.status
-                return
-            self._apply_entry(item, prep, outcome, cached=False)
-            if (self.cache is not None and prep.cacheable
-                    and outcome_cacheable(outcome)):
-                self.cache.put(prep.key, make_cache_entry(
-                    item.method, item.objective, item.elapsed_s,
-                    item.placement, item.details, status=item.status))
+                       outcome: Mapping[str, Any]) -> None:
+        if not outcome.get("ok", False):
+            item.error = outcome.get("error", "unknown error")
+            item.status = outcome.get("status") or item.status
             return
-        result = outcome
-        item.objective = result.objective
-        item.elapsed_s = result.elapsed_s
-        item.status = result.status
-        item.incumbent_history = [[round(t, 6), obj, src]
-                                  for t, obj, src in result.incumbent_history]
-        if result.assignment is None:
-            # the context fired before any incumbent existed
-            item.error = (f"{result.status}: the context fired before any "
-                          f"feasible incumbent existed")
-            return
-        item.placement = dict(result.assignment.placement)
-        item.details = json_safe_details(result.details)
-        item.assignment = result.assignment
-        item.solver_result = result
+        self._apply_entry(item, prep, outcome, cached=False)
         if (self.cache is not None and prep.cacheable
-                and result.interrupted is None):
-            self.cache.put(prep.key, cache_entry_from_result(result))
+                and outcome_cacheable(outcome)):
+            self.cache.put(prep.key, make_cache_entry(
+                item.method, item.objective, item.elapsed_s,
+                item.placement, item.details, status=item.status))
 
 
 # ------------------------------------------------------------------ helpers

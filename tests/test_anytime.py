@@ -14,12 +14,15 @@ The contract under test (the PR's acceptance bar):
   ``timeout``/``cancelled`` result with no assignment.
 """
 
+import threading
 import time
 
 import pytest
 
 from repro.core.context import DeadlineExpired, SolveContext
 from repro.core.solver import solve
+from repro.observability.metrics import default_metrics
+from repro.runtime.registry import default_registry
 from repro.workloads import random_problem
 
 #: Every registered anytime method (portfolio included).
@@ -163,7 +166,7 @@ class TestCancellation:
 
         registry = SolverRegistry()
         spec = registry.register(SolverSpec(
-            name="hopeless", runner=hopeless_runner, supports_deadline=True))
+            name="hopeless", runner=hopeless_runner))
         result = spec.solve(PROBLEM, context=SolveContext(deadline_s=0.0))
         assert result.status == "timeout"
         assert result.assignment is None
@@ -223,3 +226,94 @@ class TestDeadlineSmoke:
         assert result.status == "feasible"
         assert result.interrupted == "deadline"
         assert elapsed < 1.0, f"pruned DP took {elapsed:.2f}s on a 100ms budget"
+
+
+#: The conformance shapes: scattered, a wide star and a chain, 4 satellites.
+CONFORMANCE_SHAPES = {
+    "scattered-n18": dict(n_processing=18, sensor_scatter=1.0),
+    "star-n30": dict(n_processing=30, sensor_scatter=1.0, max_children=64),
+    "chain-n30": dict(n_processing=30, sensor_scatter=0.3, max_children=1),
+}
+CONFORMANCE_PROBLEMS = {
+    name: random_problem(n_satellites=4, seed=3, **shape)
+    for name, shape in CONFORMANCE_SHAPES.items()
+}
+ALL_SPECS = [spec.name for spec in default_registry()]
+
+
+class TestDeadlineConformance:
+    """Every registered spec answers within its budget, on every shape.
+
+    One timeout semantics for all: a deadline ends each solve within a
+    stated tolerance (a feasible answer, or a ``timeout`` result with none),
+    and a cancel token set before the call is honoured."""
+
+    DEADLINE_S = 0.05
+    TOLERANCE_S = 0.25
+
+    @pytest.mark.parametrize("shape", sorted(CONFORMANCE_SHAPES))
+    @pytest.mark.parametrize("method", ALL_SPECS)
+    def test_deadline_is_kept(self, method, shape):
+        problem = CONFORMANCE_PROBLEMS[shape]
+        started = time.perf_counter()
+        result = default_registry().resolve(method).solve(
+            problem, context=SolveContext(deadline_s=self.DEADLINE_S))
+        elapsed = time.perf_counter() - started
+        assert elapsed < self.DEADLINE_S + self.TOLERANCE_S, (
+            f"{method} on {shape} took {elapsed:.3f}s on a "
+            f"{self.DEADLINE_S}s budget")
+        if result.assignment is None:
+            assert result.status == "timeout"
+        else:
+            assert result.assignment.is_feasible()
+            assert result.status in ("optimal", "feasible")
+
+    @pytest.mark.parametrize("shape", sorted(CONFORMANCE_SHAPES))
+    @pytest.mark.parametrize("method", ALL_SPECS)
+    def test_cancel_is_honoured(self, method, shape):
+        token = threading.Event()
+        token.set()
+        result = default_registry().resolve(method).solve(
+            CONFORMANCE_PROBLEMS[shape], context=SolveContext(cancel=token))
+        assert (result.status in ("optimal", "cancelled")
+                or result.details.get("interrupted") == "cancelled"), (
+            f"{method} on {shape} ignored a set cancel token: "
+            f"{result.status}/{result.details.get('interrupted')}")
+
+    def test_sb_bottleneck_star_returns_its_candidate(self):
+        # the coloured enumeration fallback on this star draws paths for
+        # tens of seconds when nothing polls it
+        started = time.perf_counter()
+        result = solve(CONFORMANCE_PROBLEMS["star-n30"],
+                       method="sb-bottleneck", deadline_s=0.05)
+        elapsed = time.perf_counter() - started
+        assert result.assignment is not None
+        assert result.assignment.is_feasible()
+        assert result.status == "feasible"
+        assert result.interrupted == "deadline"
+        assert elapsed < 0.3
+
+
+class TestOvershootMetric:
+    """``repro_deadline_overshoot_seconds{method}`` records one observation
+    per deadline-bounded solve and none for budget-free ones."""
+
+    @staticmethod
+    def _histogram():
+        return default_metrics().histogram("repro_deadline_overshoot_seconds")
+
+    def test_deadline_solve_is_observed(self):
+        before = self._histogram().count(method="genetic")
+        before_sum = self._histogram().sum(method="genetic")
+        result = solve(PROBLEM, method="genetic", seed=1, deadline_s=0.02,
+                       generations=500_000, population_size=50)
+        assert result.interrupted == "deadline"
+        assert self._histogram().count(method="genetic") == before + 1
+        overshoot = self._histogram().sum(method="genetic") - before_sum
+        assert 0.0 <= overshoot < 1.0
+
+    def test_budget_free_solves_are_not_observed(self):
+        before = self._histogram().count(method="greedy")
+        solve(PROBLEM, method="greedy")
+        solve(PROBLEM, method="greedy", context=SolveContext())
+        assert self._histogram().count(method="greedy") == before

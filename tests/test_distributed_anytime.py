@@ -9,6 +9,7 @@ feasible partials surfacing distinctly from errors in streams, and
 
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -92,6 +93,25 @@ class TestWorkerDeadlines:
         result = queue.result(task_id)
         assert result["ok"] and result["status"] == "optimal"
         assert result["objective"] == solve(problem).objective
+
+    def test_sb_bottleneck_keeps_its_deadline_on_the_spool_path(self, spool):
+        # on this wide star the SB search's coloured enumeration runs for
+        # tens of seconds unless it polls the task's context
+        star = random_problem(n_processing=30, n_satellites=4, seed=3,
+                              sensor_scatter=1.0, max_children=64)
+        queue = WorkQueue(spool)
+        task_id = queue.submit(payload_for(star, method="sb-bottleneck",
+                                           deadline_s=0.2))
+        worker = SolveWorker(queue)
+        thread = threading.Thread(target=worker.run, kwargs={"drain": True},
+                                  daemon=True)
+        thread.start()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive(), "the worker outlived a 0.2s budget by 5s"
+        result = queue.result(task_id)
+        assert result["ok"] and result["status"] == "feasible"
+        assert result["details"]["interrupted"] == "deadline"
+        assert result["placement"]
 
 
 class TestProgressHeartbeat:

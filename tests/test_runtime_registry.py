@@ -42,15 +42,13 @@ class TestDefaultRegistry:
                          "portfolio"}
         stochastic = {spec.name for spec in registry if spec.stochastic}
         assert stochastic == {"random-search", "genetic", "dag-genetic"}
-        no_deadline = {spec.name for spec in registry
-                       if not spec.supports_deadline}
-        assert no_deadline == {"sb-bottleneck", "dag-heft", "dag-genetic"}
-        anytime = {spec.name for spec in registry if spec.anytime}
-        assert anytime == {spec.name for spec in registry
-                           if spec.supports_deadline}
+        # every spec polls its context; all but HEFT (whose partial
+        # schedule is no placement) return an incumbent when it fires
+        not_anytime = {spec.name for spec in registry if not spec.anytime}
+        assert not_anytime == {"dag-heft"}
         meta = registry.resolve("colored-ssb").metadata()
         assert meta["exact"] and meta["supports_weighting"]
-        assert meta["supports_deadline"] and meta["anytime"]
+        assert meta["anytime"] and "supports_deadline" not in meta
         assert "complexity" in meta and meta["aliases"] == []
 
     def test_spec_solve_returns_uniform_result(self, paper_problem):
