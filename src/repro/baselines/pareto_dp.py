@@ -810,7 +810,6 @@ def _dp_profile(stats: Dict[str, int]) -> Dict[str, object]:
         "pruned_colour": 0,
         "pruned_joint": 0,
         "pruned_settle": 0,
-        "pruned_meet": 0,
         "pruned_total": stats["bound_rejected"],
         "frontier_peak": stats["peak_frontier"],
         "settle_batches": stats["drains"],

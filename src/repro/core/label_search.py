@@ -51,28 +51,13 @@ mechanisms keep the label sets small:
     entirely when they stop paying.  Exactness-preserving (a kept dominated
     label only costs time), kept as the reference backend of the
     differential tests; on large scattered instances its buckets outgrow
-    the cap and the label population explodes.  Forward direction only.
+    the cap and the label population explodes.
 
 The sweep is a single pass: when node ``v`` is processed every label it will
 ever receive is already present (all in-edges come from earlier nodes), so
 each surviving label is extended along each out-edge exactly once.  The
 result is the exact optimum — bit-identical to brute force — without ever
 enumerating paths.
-
-**Bidirectional mode** (``direction="bidirectional"``) splits the sweep at a
-topological meet rank ``K``: ranks strictly increase along every edge of a
-DAG, so each S → T path crosses *exactly one* edge whose tail ranks below
-``K`` and whose head ranks at or above it.  A forward half-sweep builds
-prefix frontiers over the low-rank region, a backward half-sweep builds
-suffix frontiers over the high-rank region (pruned with the mirrored
-potentials computed *from the source*), and the two meet at every crossing
-edge: the joined objective ``λ_S·(σ_f + σ_e + σ_b) +
-λ_B·max_c(load_f + β_e + load_b)`` is minimised over the frontier cross
-product in bounded-memory chunks, pre-filtered against the opposing
-frontier's componentwise minima (rejections counted as ``pruned_meet``).
-Exactly one crossing edge per path makes the join exhaustive, so the mode
-returns the same optimum as the forward sweep — it just never materialises
-the deep-layer label populations that explode on scattered ``n >= 60``.
 """
 
 from __future__ import annotations
@@ -124,27 +109,6 @@ _BLOCK_DOM_MIN_HIT_RATE = 1.0 / 6.0
 #: :func:`repro.core.frontier.pareto_block_mask`).
 _DOMINANCE_WINDOW = 128
 
-#: Element budget of one meet-join broadcast chunk: a forward chunk of
-#: ``F`` labels against ``B`` backward labels costs ``F·B·dim`` floats, so
-#: the forward chunk size is ``_MEET_CHUNK_ELEMS / (B·dim)`` (≈8 MB peaks).
-_MEET_CHUNK_ELEMS = 1 << 20
-
-#: Meet-frontier join-space reduction: sides above this size get a windowed
-#: Pareto filter in (λ_S·σ + λ_B·load_c)-space before the pairwise product.
-#: The window is larger than the halves' dominance window because every
-#: dropped row saves a whole product column, not one label.
-_MEET_REDUCE_MIN = 32
-_MEET_REDUCE_WINDOW = 256
-#: B-side group width for the join screen: per-group colour minima give a
-#: lower bound per (chunk row, group) cell at 1/_MEET_GROUP the cost of the
-#: exact product, and only surviving groups are evaluated exactly.
-_MEET_GROUP = 512
-#: prefix length for the settle-density probe in the bidirectional halves:
-#: buckets larger than 8x this are probed first and the full dominance mask
-#: is skipped when the probe removes fewer than 1/64 of its rows.
-_SETTLE_PROBE = 4096
-
-
 @dataclass(frozen=True)
 class LabelSearchStats:
     """Counters describing one label sweep (exposed via solver details).
@@ -154,9 +118,8 @@ class LabelSearchStats:
     the tightened replacement of the legacy floor bound), ``pruned_joint``
     (the joint σ/average-load bound at extension time), ``pruned_settle``
     (the forward block kernel's re-check of a node's bucket against the
-    incumbent as tightened since its labels were created) and
-    ``pruned_meet`` (labels a bidirectional join's pre-filter rejected
-    against the opposing frontier's minima).  ``pruned_floor`` remains for
+    incumbent as tightened since its labels were created).  ``pruned_meet``
+    is always 0; trace consumers still read it.  ``pruned_floor`` remains for
     engines that still prune with the floor-type bound (the tree DP); the
     sweep itself no longer fires it.  ``frontier_peak`` is the largest
     bucket a block kernel settled, counted before the settle's bound and
@@ -175,8 +138,7 @@ class LabelSearchStats:
     pruned_colour: int = 0           #: per-colour joint σ/β_c bound rejections
     pruned_joint: int = 0            #: joint average-load bound rejections
     pruned_settle: int = 0           #: settle-time incumbent re-check rejections
-    pruned_meet: int = 0             #: meet-join pre-filter rejections (bidir)
-    meet_edges: int = 0              #: crossing edges joined (bidir only)
+    pruned_meet: int = 0             #: always 0; trace consumers read it
     frontier_peak: int = 0           #: largest bucket before its settle
     settle_batches: int = 0          #: buckets settled by a block kernel
 
@@ -288,25 +250,16 @@ class LabelDominanceSearch:
     """
 
     def __init__(self, weighting: Optional[SSBWeighting] = None,
-                 beam_width: int = 128, frontier: str = "bucketed",
-                 direction: str = "forward") -> None:
+                 beam_width: int = 128,
+                 frontier: str = "bucketed") -> None:
         if beam_width < 0:
             raise ValueError("beam_width must be non-negative (0 disables the pre-pass)")
         if frontier not in ("bucketed", "linear"):
             raise ValueError("frontier must be 'bucketed' or 'linear'")
-        if direction not in ("forward", "bidirectional"):
-            raise ValueError("direction must be 'forward' or 'bidirectional'")
-        if frontier == "linear" and direction == "bidirectional":
-            raise ValueError("frontier='linear' supports direction='forward' "
-                             "only; the bidirectional join runs on array "
-                             "buckets")
         self.weighting = weighting or SSBWeighting()
         self.measures = PathMeasures(self.weighting)
         self.beam_width = beam_width
         self.frontier = frontier
-        #: ``"forward"`` — the classic single sweep; ``"bidirectional"`` —
-        #: meet-in-the-middle half-sweeps joined over the crossing edges
-        self.direction = direction
 
     # ------------------------------------------------------------------ main
     def search(self, dwg: DoublyWeightedGraph,
@@ -318,7 +271,8 @@ class LabelDominanceSearch:
         """Run the sweep; raises :class:`NotADagError` on cyclic graphs.
 
         ``context`` (optional) is polled once per swept node in both the
-        beam pre-pass and the exact pass; when it fires the sweep stops and
+        beam pre-pass and the exact pass, and per out-edge in the bucketed
+        exact pass; when it fires the sweep stops and
         the best incumbent held at that moment is returned with
         ``interrupted`` set — a feasible path always exists once the
         min-σ seed path is computed, so an interrupted search still answers.
@@ -388,8 +342,8 @@ class LabelDominanceSearch:
                     context.report_incumbent(beam_ssb, source="labels-beam")
         bound = min(incumbent, fallback_ssb)
 
-        # ---- exact pass: the block kernel of the chosen direction, or the
-        # linear reference sweep — identical semantics, identical optimum
+        # ---- exact pass: the block kernel, or the linear reference sweep —
+        # identical semantics, identical optimum
         profile = None
         if context is not None:
             span = getattr(context, "span", None)
@@ -401,12 +355,6 @@ class LabelDominanceSearch:
             best_path, best_s, best_b = None, float("inf"), float("inf")
             best_ssb = float("inf")
             sweep_stats = LabelSearchStats()
-        elif self.direction == "bidirectional":
-            (best_path, best_ssb, best_s, best_b,
-             sweep_stats, interrupted) = self._sweep_bidirectional(
-                graph, order, out_edge_data, pot, potjc, potj, inv_colors,
-                colors, source, target, zero_loads, bound, context=context,
-                profile=profile)
         elif self.frontier == "bucketed":
             (best_path, best_ssb, best_s, best_b,
              sweep_stats, interrupted) = self._sweep_blocks(
@@ -428,8 +376,7 @@ class LabelDominanceSearch:
             sweep_stats,
             labels_bound_pruned=(sweep_stats.pruned_colour
                                  + sweep_stats.pruned_joint
-                                 + sweep_stats.pruned_settle
-                                 + sweep_stats.pruned_meet),
+                                 + sweep_stats.pruned_settle),
             nodes_swept=len(order), colors=n_colors, beam_ssb=beam_ssb)
 
         if best_path is not None:
@@ -669,6 +616,12 @@ class LabelDominanceSearch:
             settled[node] = (parents, ekeys)
             for edge, sigma, betas, btotal, head, pot_h, potjc_h, potj_h \
                     in extensions:
+                # one node's extensions can run for seconds on a large
+                # bucket, so the context is polled per out-edge as well
+                if context is not None:
+                    interrupted = context.interrupted()
+                    if interrupted is not None:
+                        break
                 ns = sig + sigma
                 nl = lds + beta_rows[edge.key] if betas else lds
                 if dim:
@@ -712,6 +665,8 @@ class LabelDominanceSearch:
                     pruned_settle=pruned_settle - node_base[4],
                     frontier=bucket_size,
                     settle_batches=1)
+            if interrupted is not None:
+                break
         sweep_stats = LabelSearchStats(
             labels_created=created, labels_dominated=dominated,
             pruned_colour=pruned_colour, pruned_joint=pruned_joint,
@@ -729,613 +684,6 @@ class LabelDominanceSearch:
             edge_key = int(ekeys[row])
             row = int(parents[row])
         edges.reverse()
-        return (Path.from_edges(edges), best_ssb, best_s, best_b,
-                sweep_stats, interrupted)
-
-    # ---------------------------------------------------------- bidirectional
-    def _source_potentials(self, order, out_edge_data, source, inv_colors,
-                           n_colors):
-        """Mirrored potentials *from the source* in one forward DP pass.
-
-        ``spot[v]``/``spotj[v]``/``spotjc[v]`` are the source-side duals of
-        ``pot``/``potj``/``potjc``: minima over S → v paths of σ, of the
-        joint average ``λ_S·σ + λ_B·β_total/n_colors`` and, per colour, of
-        ``λ_S·σ + λ_B·β_c``.  Each component is an independent additive
-        shortest path, so elementwise min relaxation along the topological
-        order computes all of them exactly.
-        """
-        lam_s, lam_b = self.weighting.lambda_s, self.weighting.lambda_b
-        inf = float("inf")
-        spot: Dict[Node, float] = {source: 0.0}
-        spotj: Dict[Node, float] = {source: 0.0}
-        spotjc: Dict[Node, Tuple[float, ...]] = {source: (0.0,) * n_colors}
-        for node in order:
-            base_s = spot.get(node)
-            if base_s is None:
-                continue
-            extensions = out_edge_data.get(node)
-            if not extensions:
-                continue
-            base_j, base_jc = spotj[node], spotjc[node]
-            for edge, sigma, betas, btotal, head, _ph, _pjc, _pj in extensions:
-                cand = base_s + sigma
-                if cand < spot.get(head, inf):
-                    spot[head] = cand
-                cand = base_j + lam_s * sigma + lam_b * btotal * inv_colors
-                if cand < spotj.get(head, inf):
-                    spotj[head] = cand
-                step = lam_s * sigma
-                if betas:
-                    inc = [step] * n_colors
-                    for ci, bv in betas:
-                        inc[ci] = step + lam_b * bv
-                    cand_jc = tuple(map(_add, base_jc, inc))
-                else:
-                    cand_jc = tuple(v + step for v in base_jc)
-                cur = spotjc.get(head)
-                spotjc[head] = cand_jc if cur is None else \
-                    tuple(map(min, cur, cand_jc))
-        return spot, spotj, spotjc
-
-    def _meet_partition(self, graph, order, out_edge_data, rank, spot, pot,
-                        source, target, color_index):
-        """Pick the meet rank ``K`` and split the live edges around it.
-
-        Returns ``(K, fwd_exts, cross_edges, in_edge_data)``: the in-region
-        out-edge packs of the forward half, the crossing edges
-        (tail rank < K <= head rank, as ``(edge, σ, betas, β_total, tail,
-        head)``) and the in-region in-edge packs of the backward half.
-        ``K`` balances the live edge count on either side and is clamped to
-        ``(rank(source), rank(target)]`` so both endpoints stay in their
-        halves.  Only edges on live S → T routes (tail reachable from the
-        source and reaching the target) participate — labels can never
-        appear anywhere else.
-        """
-        total = sum(len(out_edge_data.get(node, ()))
-                    for node in order if node in spot)
-        K = rank[target]
-        cum = 0
-        for node in order:
-            if node not in spot:
-                continue
-            cum += len(out_edge_data.get(node, ()))
-            if 2 * cum >= total:
-                K = rank[node] + 1
-                break
-        K = min(max(K, rank[source] + 1), rank[target])
-        fwd_exts: Dict[Node, List[tuple]] = {}
-        cross_edges: List[tuple] = []
-        for node in order[:K]:
-            if node not in spot:
-                continue
-            local = []
-            for ext in out_edge_data.get(node, ()):
-                if rank[ext[4]] >= K:
-                    cross_edges.append((ext[0], ext[1], ext[2], ext[3],
-                                        node, ext[4]))
-                else:
-                    local.append(ext)
-            if local:
-                fwd_exts[node] = local
-        in_edge_data: Dict[Node, List[tuple]] = {}
-        for node in order[K:]:
-            if node not in pot or node not in spot:
-                continue
-            packed = []
-            for edge in graph.in_edges(node):
-                tail = edge.tail
-                if rank[tail] < K:
-                    continue        # a crossing edge joins, never extends
-                if tail not in spot or tail not in pot:
-                    continue
-                betas = tuple(
-                    (color_index[c], float(v))
-                    for c, v in DoublyWeightedGraph.beta_map(edge).items()
-                    if v != 0.0)
-                packed.append((edge, DoublyWeightedGraph.sigma(edge), betas,
-                               sum(v for _, v in betas), tail))
-            if packed:
-                in_edge_data[node] = packed
-        return K, fwd_exts, cross_edges, in_edge_data
-
-    def _sweep_bidirectional(self, graph, order, out_edge_data, pot, potjc,
-                             potj, inv_colors, colors, source, target,
-                             zero_loads, bound,
-                             context: Optional[SolveContext] = None,
-                             profile=None):
-        """Meet-in-the-middle exact pass (see the module docstring).
-
-        Topological ranks strictly increase along every DAG edge, so with a
-        boundary rank ``K`` in ``(rank(source), rank(target)]`` every S → T
-        path crosses *exactly one* edge whose tail ranks below ``K`` and
-        whose head at or above it.  Joining the forward frontier at each
-        crossing tail with the backward frontier at its head is therefore
-        exhaustive, and the returned optimum identical to the forward
-        sweep's.
-        """
-        n_colors = len(zero_loads)
-        color_index = {c: i for i, c in enumerate(colors)}
-        rank = {node: i for i, node in enumerate(order)}
-        spot, spotj, spotjc = self._source_potentials(
-            order, out_edge_data, source, inv_colors, n_colors)
-        if target not in spot:
-            return (None, float("inf"), float("inf"), float("inf"),
-                    LabelSearchStats(), None)
-        K, fwd_exts, cross_edges, in_edge_data = self._meet_partition(
-            graph, order, out_edge_data, rank, spot, pot, source, target,
-            color_index)
-        cross_tails = {c[4] for c in cross_edges}
-        cross_heads = {c[5] for c in cross_edges}
-        out = self._bidir_blocks(
-            graph, order, K, fwd_exts, cross_edges, in_edge_data,
-            cross_tails, cross_heads, pot, potjc, potj, spot, spotj,
-            spotjc, inv_colors, source, target, zero_loads, bound,
-            context=context, profile=profile)
-        path, _ssb, _s, _b, sweep_stats, interrupted = out
-        if path is None:
-            return out
-        # The join accumulates σ/loads as prefix + suffix sums, whose
-        # floating-point association differs from the forward sweep's
-        # left-to-right one by an ulp or two.  Re-accumulate the winning
-        # path in forward edge order — the forward sweeps' exact op sequence —
-        # so the reported optimum is bit-identical to the forward engine's.
-        s = 0.0
-        loads = list(zero_loads)
-        for edge in path.edges:
-            s = s + DoublyWeightedGraph.sigma(edge)
-            for c, v in DoublyWeightedGraph.beta_map(edge).items():
-                if v != 0.0:
-                    loads[color_index[c]] += float(v)
-        lam_s, lam_b = self.weighting.lambda_s, self.weighting.lambda_b
-        if loads:
-            ssb = lam_s * s + max(lam_b * load + 0.0 for load in loads)
-            b = max(loads)
-        else:
-            ssb = lam_s * s
-            b = 0.0
-        return path, ssb, s, b, sweep_stats, interrupted
-
-    def _bidir_blocks(self, graph, order, K, fwd_exts, cross_edges,
-                      in_edge_data, cross_tails, cross_heads, pot, potjc,
-                      potj, spot, spotj, spotjc, inv_colors, source, target,
-                      zero_loads, bound,
-                      context: Optional[SolveContext] = None, profile=None):
-        """Bidirectional exact pass over array buckets.
-
-        Both half-sweeps mirror :meth:`_sweep_blocks` — vectorised bound
-        checks, windowed Pareto filter, settled arrays retained for the
-        predecessor walk — except that the incumbent never tightens inside a
-        half (complete paths only appear at the join), so the settle-time
-        bound re-check is skipped: the extension-time checks already applied
-        the same bound.  The join minimises the pair objective per crossing
-        edge over ``(F_chunk, B)`` broadcast blocks bounded by
-        ``_MEET_CHUNK_ELEMS`` elements, after pre-filtering each frontier
-        against the other's componentwise minima (``pruned_meet``).
-        """
-        lam_s, lam_b = self.weighting.lambda_s, self.weighting.lambda_b
-        dim = len(zero_loads)
-        created = dominated = 0
-        pruned_colour = pruned_joint = pruned_meet = 0
-        peak = settles = meet_edges = 0
-        interrupted: Optional[str] = None
-        potjc_arr = {n: np.asarray(t, dtype=np.float64)
-                     for n, t in potjc.items()}
-        spotjc_arr = {n: np.asarray(t, dtype=np.float64)
-                      for n, t in spotjc.items()}
-        beta_rows: Dict[int, Any] = {}
-
-        def beta_row_of(edge, betas):
-            row = beta_rows.get(edge.key)
-            if row is None:
-                row = np.zeros(dim, dtype=np.float64)
-                for ci, bv in betas:
-                    row[ci] = bv
-                beta_rows[edge.key] = row
-            return row
-
-        def settle_mask(sig, lds):
-            """Windowed dominance mask with a cheap density probe.  Large
-            meet-adjacent buckets are often near-incomparable in
-            (σ, loads) space — a full mask can cost ~1s to remove well
-            under 1% of rows.  Probe a prefix first and skip the bucket
-            when the probe removes almost nothing; dominated rows kept by
-            the skip cost extra work downstream, never wrong answers."""
-            if len(sig) > _SETTLE_PROBE * 8:
-                probe = pareto_block_mask(sig[:_SETTLE_PROBE],
-                                          lds[:_SETTLE_PROBE],
-                                          window=_DOMINANCE_WINDOW)
-                if _SETTLE_PROBE - int(probe.sum()) < _SETTLE_PROBE // 64:
-                    return None
-            return pareto_block_mask(sig, lds, window=_DOMINANCE_WINDOW)
-
-        def concat(node_chunks):
-            if len(node_chunks) == 1:
-                sig, lds, sums, parents, ekey = node_chunks[0]
-                return sig, lds, sums, parents, \
-                    np.full(len(sig), ekey, dtype=np.int64)
-            return (np.concatenate([c[0] for c in node_chunks]),
-                    np.concatenate([c[1] for c in node_chunks]),
-                    np.concatenate([c[2] for c in node_chunks]),
-                    np.concatenate([c[3] for c in node_chunks]),
-                    np.concatenate([np.full(len(c[0]), c[4], dtype=np.int64)
-                                    for c in node_chunks]))
-
-        # ---------------- forward half: prefix labels over ranks < K
-        fwd_rows: Dict[Node, Tuple[Any, Any]] = {}
-        settled_f: Dict[Node, Tuple[Any, Any]] = {}
-        chunks: Dict[Node, List[tuple]] = {source: [(
-            np.zeros(1), np.zeros((1, dim)), np.zeros(1),
-            np.full(1, -1, dtype=np.int64), -1)]}
-        for node in order[:K]:
-            if context is not None:
-                interrupted = context.interrupted()
-                if interrupted is not None:
-                    break
-            node_chunks = chunks.pop(node, None)
-            if not node_chunks:
-                continue
-            extensions = fwd_exts.get(node)
-            is_meet_tail = node in cross_tails
-            if not extensions and not is_meet_tail:
-                continue
-            sig, lds, sums, parents, ekeys = concat(node_chunks)
-            if profile is not None:
-                node_base = (created, dominated, pruned_colour, pruned_joint)
-            bucket_size = len(sig)
-            if bucket_size > peak:
-                peak = bucket_size
-            settles += 1
-            if len(sig) > 1:
-                mask = settle_mask(sig, lds)
-                drop = len(sig) - int(mask.sum()) if mask is not None else 0
-                if drop:
-                    dominated += drop
-                    sig, lds, sums = sig[mask], lds[mask], sums[mask]
-                    parents, ekeys = parents[mask], ekeys[mask]
-            settled_f[node] = (parents, ekeys)
-            if is_meet_tail:
-                fwd_rows[node] = (sig, lds)
-            for edge, sigma, betas, btotal, head, pot_h, potjc_h, potj_h \
-                    in (extensions or ()):
-                ns = sig + sigma
-                nl = lds + beta_row_of(edge, betas) if betas else lds
-                if dim:
-                    lower = lam_s * ns + \
-                        (lam_b * nl + potjc_arr[head]).max(axis=1)
-                else:
-                    lower = lam_s * (ns + pot_h)
-                keep_e = lower < bound
-                colour_kept = int(keep_e.sum())
-                pruned_colour += len(ns) - colour_kept
-                nsum = sums + btotal
-                keep_e &= lam_s * ns + lam_b * nsum * inv_colors + potj_h < bound
-                count = int(keep_e.sum())
-                pruned_joint += colour_kept - count
-                if not count:
-                    continue
-                created += count
-                rows = np.nonzero(keep_e)[0]
-                chunks.setdefault(head, []).append(
-                    (ns[rows], nl[rows], nsum[rows],
-                     rows.astype(np.int64), edge.key))
-            if profile is not None:
-                profile.record_node(
-                    node, created - node_base[0], dominated - node_base[1],
-                    pruned_colour=pruned_colour - node_base[2],
-                    pruned_joint=pruned_joint - node_base[3],
-                    frontier=bucket_size, settle_batches=1)
-
-        # ---------------- backward half: suffix labels over ranks >= K
-        bwd_rows: Dict[Node, Tuple[Any, Any]] = {}
-        settled_b: Dict[Node, Tuple[Any, Any]] = {}
-        bchunks: Dict[Node, List[tuple]] = {target: [(
-            np.zeros(1), np.zeros((1, dim)), np.zeros(1),
-            np.full(1, -1, dtype=np.int64), -1)]}
-        if interrupted is None:
-            for node in reversed(order[K:]):
-                if context is not None:
-                    interrupted = context.interrupted()
-                    if interrupted is not None:
-                        break
-                node_chunks = bchunks.pop(node, None)
-                if not node_chunks:
-                    continue
-                extensions = in_edge_data.get(node)
-                is_meet_head = node in cross_heads
-                if not extensions and not is_meet_head:
-                    continue
-                sig, lds, sums, parents, ekeys = concat(node_chunks)
-                if profile is not None:
-                    node_base = (created, dominated, pruned_colour,
-                                 pruned_joint)
-                bucket_size = len(sig)
-                if bucket_size > peak:
-                    peak = bucket_size
-                settles += 1
-                if len(sig) > 1:
-                    mask = settle_mask(sig, lds)
-                    drop = (len(sig) - int(mask.sum())
-                            if mask is not None else 0)
-                    if drop:
-                        dominated += drop
-                        sig, lds, sums = sig[mask], lds[mask], sums[mask]
-                        parents, ekeys = parents[mask], ekeys[mask]
-                settled_b[node] = (parents, ekeys)
-                if is_meet_head:
-                    bwd_rows[node] = (sig, lds)
-                for edge, sigma, betas, btotal, tail in (extensions or ()):
-                    ns = sig + sigma
-                    nl = lds + beta_row_of(edge, betas) if betas else lds
-                    if dim:
-                        lower = lam_s * ns + \
-                            (lam_b * nl + spotjc_arr[tail]).max(axis=1)
-                    else:
-                        lower = lam_s * (ns + spot[tail])
-                    keep_e = lower < bound
-                    colour_kept = int(keep_e.sum())
-                    pruned_colour += len(ns) - colour_kept
-                    nsum = sums + btotal
-                    keep_e &= lam_s * ns + lam_b * nsum * inv_colors \
-                        + spotj[tail] < bound
-                    count = int(keep_e.sum())
-                    pruned_joint += colour_kept - count
-                    if not count:
-                        continue
-                    created += count
-                    rows = np.nonzero(keep_e)[0]
-                    bchunks.setdefault(tail, []).append(
-                        (ns[rows], nl[rows], nsum[rows],
-                         rows.astype(np.int64), edge.key))
-                if profile is not None:
-                    profile.record_node(
-                        node, created - node_base[0],
-                        dominated - node_base[1],
-                        pruned_colour=pruned_colour - node_base[2],
-                        pruned_joint=pruned_joint - node_base[3],
-                        frontier=bucket_size, settle_batches=1)
-
-        # ---------------- join at the crossing edges
-        best = None             # (edge, forward row, backward row, head)
-        best_ssb = best_s = best_b = float("inf")
-        if interrupted is None:
-            # Join-space reduction.  With X[i, c] = λ_S·σ_i + λ_B·load_ic
-            # over the prefix rows and Y[j, c] likewise over the suffix
-            # rows, the pair objective is val(i, j) = max_c(X[i,c] + Y[j,c])
-            # — monotone in every component, so only join-space
-            # Pareto-minimal rows can realise the minimum.  This is strictly
-            # coarser than the halves' (σ, loads) dominance (σ folds into
-            # every colour) and typically shrinks each side ~10x.  A
-            # crossing edge only adds a *constant* vector to X, which
-            # leaves dominance unchanged — one windowed reduction per meet
-            # node therefore serves all of its crossing edges.
-            def reduce_side(sig, loads):
-                """Single windowed join-space reduction pass.  The window
-                only ever *keeps* dominated rows, never drops a
-                non-dominated one, so this is exact-safe; the group screen
-                in the join mops up what the window misses far cheaper
-                than further mask passes would."""
-                nonlocal dominated
-                rows_m = lam_s * sig[:, None] + lam_b * loads
-                idx = None
-                if len(sig) > _MEET_REDUCE_MIN:
-                    mask = pareto_block_mask(rows_m[:, 0], rows_m,
-                                             window=_MEET_REDUCE_WINDOW)
-                    idx = np.nonzero(mask)[0]
-                    dominated += len(sig) - len(idx)
-                    sig, loads, rows_m = sig[idx], loads[idx], rows_m[idx]
-                return (sig, loads, rows_m, idx, rows_m.min(axis=0),
-                        rows_m.sum(axis=1))
-
-            f_join = {}
-            for t, (sf, lf) in fwd_rows.items():
-                if dim:
-                    f_join[t] = reduce_side(sf, lf)
-                else:
-                    f_join[t] = (sf, lf, None, None, None, None)
-            b_join = {}
-            for h, (sb, lb) in bwd_rows.items():
-                if dim:
-                    b_join[h] = reduce_side(sb, lb)
-                else:
-                    b_join[h] = (sb, lb, None, None, None, None)
-            jobs = []
-            for edge, sigma, betas, btotal, tail, head in cross_edges:
-                fw = f_join.get(tail)
-                bw = b_join.get(head)
-                if fw is None or bw is None:
-                    continue            # one side was fully pruned away
-                if dim:
-                    const = lam_s * sigma + lam_b * beta_row_of(edge, betas)
-                    est = float((fw[4] + const + bw[4]).max())
-                    # complementary average floor: the pair maximum is at
-                    # least the pair mean — strong exactly where the
-                    # per-colour floor is weak (balanced loads)
-                    avg = (float(fw[5].min()) + float(const.sum())
-                           + float(bw[5].min())) / dim
-                    if avg > est:
-                        est = avg
-                else:
-                    est = lam_s * (float(fw[0].min()) + sigma
-                                   + float(bw[0].min()))
-                jobs.append((est, edge.key, edge, sigma, betas, tail, head))
-            # cheapest-looking joins first, so the bound tightens early and
-            # the later (hopeless) cross products collapse in the pre-filter
-            jobs.sort(key=lambda j: (j[0], j[1]))
-            for est, _key, edge, sigma, betas, tail, head in jobs:
-                if context is not None:
-                    interrupted = context.interrupted()
-                    if interrupted is not None:
-                        break
-                meet_edges += 1
-                sf, lf, X0, fidx, _xmin, xsum0 = f_join[tail]
-                sb, lb, Y, yidx, ymin, ysum = b_join[head]
-                meet_base = pruned_meet
-                if est >= bound:
-                    pruned_meet += len(sf) + len(sb)
-                    if profile is not None:
-                        profile.record_node(
-                            f"meet:{edge.key}",
-                            pruned_meet=pruned_meet - meet_base)
-                    continue
-                if not dim:
-                    # no colours: σ is the whole objective, so the best
-                    # pair is simply (min prefix σ, min suffix σ)
-                    i, j = int(sf.argmin()), int(sb.argmin())
-                    v = lam_s * (float(sf[i]) + sigma + float(sb[j]))
-                    if v < bound:
-                        bound = best_ssb = v
-                        best = (edge, i, j, head)
-                        best_s = float(sf[i]) + sigma + float(sb[j])
-                        best_b = 0.0
-                        if context is not None:
-                            context.report_incumbent(v, source="labels-meet")
-                    continue
-                const = lam_s * sigma + lam_b * beta_row_of(edge, betas)
-                Xe = X0 + const
-                xesum = xsum0 + float(const.sum())
-                inv_dim = 1.0 / dim
-                # per-row floors against the other side's per-colour minima
-                # (exactly the frontier-local potjc analogue), each maxed
-                # with the average floor that bites when loads balance
-                lowf = np.maximum((Xe + ymin).max(axis=1),
-                                  (xesum + float(ysum.min())) * inv_dim)
-                rows_f = np.nonzero(lowf < bound)[0]
-                pruned_meet += len(sf) - len(rows_f)
-                if len(rows_f):
-                    lowb = np.maximum(
-                        (Y + Xe[rows_f].min(axis=0)).max(axis=1),
-                        (ysum + float(xesum[rows_f].min())) * inv_dim)
-                    rows_b = np.nonzero(lowb < bound)[0]
-                    pruned_meet += len(sb) - len(rows_b)
-                else:
-                    rows_b = rows_f
-                if len(rows_f) and len(rows_b):
-                    # most promising rows first on both sides: as the bound
-                    # tightens the sorted tails collapse in one comparison
-                    # (F side) or a searchsorted cut (B side)
-                    order_f = np.argsort(lowf[rows_f], kind="stable")
-                    rows_f = rows_f[order_f]
-                    lowf_sorted = lowf[rows_f]
-                    order_b = np.argsort(lowb[rows_b], kind="stable")
-                    rows_b = rows_b[order_b]
-                    lowb_sorted = lowb[rows_b]
-                    XF, YB = Xe[rows_f], Y[rows_b]
-                    XFsum, YBsum = xesum[rows_f], ysum[rows_b]
-                    # per-group colour minima over blocks of the sorted B
-                    # side: a group whose floor max_c(X_ic + Ymin_gc) misses
-                    # the bound for every chunk row is skipped wholesale,
-                    # so the exact R x |B| evaluation only touches groups
-                    # that might hold an improving pair.  Group minima are
-                    # taken over the *full* group, so the screen stays a
-                    # valid lower bound when searchsorted trims the last
-                    # group to a prefix.
-                    ng_full = (len(rows_b) + _MEET_GROUP - 1) // _MEET_GROUP
-                    pad = ng_full * _MEET_GROUP - len(rows_b)
-                    GM = np.pad(YB, ((0, pad), (0, 0)),
-                                constant_values=np.inf)
-                    GM = GM.reshape(ng_full, _MEET_GROUP, dim).min(axis=1)
-                    GS = np.pad(YBsum, (0, pad), constant_values=np.inf)
-                    GS = GS.reshape(ng_full, _MEET_GROUP).min(axis=1)
-                    start = 0
-                    while start < len(rows_f):
-                        if lowf_sorted[start] >= bound:
-                            pruned_meet += len(rows_f) - start
-                            break
-                        nb = int(np.searchsorted(lowb_sorted, bound,
-                                                 side="left"))
-                        if not nb:
-                            break
-                        stop = min(start + max(1, _MEET_CHUNK_ELEMS // nb),
-                                   len(rows_f))
-                        ng = (nb + _MEET_GROUP - 1) // _MEET_GROUP
-                        sel = None
-                        YBsub = YB[:nb]
-                        if ng > 2:
-                            scr = XF[start:stop, 0, None] + GM[None, :ng, 0]
-                            for c in range(1, dim):
-                                np.maximum(
-                                    scr,
-                                    XF[start:stop, c, None]
-                                    + GM[None, :ng, c],
-                                    out=scr)
-                            np.maximum(
-                                scr,
-                                (XFsum[start:stop, None] + GS[None, :ng])
-                                * inv_dim,
-                                out=scr)
-                            gpass = np.nonzero((scr < bound).any(axis=0))[0]
-                            if not len(gpass):
-                                start = stop
-                                continue
-                            if len(gpass) < ng:
-                                sel = np.concatenate([
-                                    np.arange(g * _MEET_GROUP,
-                                              min((g + 1) * _MEET_GROUP, nb))
-                                    for g in gpass])
-                                YBsub = YB[sel]
-                        # 2-D per-colour maximum accumulation: never
-                        # materialises the (chunk × |B| × dim) cube
-                        val = XF[start:stop, 0, None] + YBsub[None, :, 0]
-                        for c in range(1, dim):
-                            np.maximum(
-                                val,
-                                XF[start:stop, c, None] + YBsub[None, :, c],
-                                out=val)
-                        flat = int(val.argmin())
-                        i, j = divmod(flat, val.shape[1])
-                        v = float(val[i, j])
-                        if v < bound:
-                            bound = best_ssb = v
-                            i0 = int(rows_f[start + i])
-                            j0 = int(rows_b[int(sel[j])
-                                            if sel is not None else j])
-                            best = (edge,
-                                    int(fidx[i0]) if fidx is not None
-                                    else i0,
-                                    int(yidx[j0]) if yidx is not None
-                                    else j0,
-                                    head)
-                            best_s = float(sf[i0]) + sigma + float(sb[j0])
-                            best_b = float(
-                                (lf[i0] + beta_row_of(edge, betas)
-                                 + lb[j0]).max())
-                            if context is not None:
-                                context.report_incumbent(
-                                    v, source="labels-meet")
-                        start = stop
-                if profile is not None:
-                    profile.record_node(
-                        f"meet:{edge.key}",
-                        pruned_meet=pruned_meet - meet_base,
-                        frontier=len(sf) + len(sb))
-        sweep_stats = LabelSearchStats(
-            labels_created=created, labels_dominated=dominated,
-            pruned_colour=pruned_colour, pruned_joint=pruned_joint,
-            pruned_meet=pruned_meet, meet_edges=meet_edges,
-            frontier_peak=peak, settle_batches=settles)
-        if best is None:
-            return (None, float("inf"), float("inf"), float("inf"),
-                    sweep_stats, interrupted)
-        edge, f_row, b_row, head = best
-        edges: List[Edge] = []
-        ek, row = edge.key, f_row
-        while ek != -1:
-            e = graph.edge(ek)
-            edges.append(e)
-            parents, ekeys = settled_f[e.tail]
-            ek = int(ekeys[row])
-            row = int(parents[row])
-        edges.reverse()
-        node, row = head, b_row
-        while True:
-            parents, ekeys = settled_b[node]
-            ek = int(ekeys[row])
-            if ek == -1:
-                break
-            e = graph.edge(ek)
-            edges.append(e)
-            row = int(parents[row])
-            node = e.head
         return (Path.from_edges(edges), best_ssb, best_s, best_b,
                 sweep_stats, interrupted)
 

@@ -2,12 +2,13 @@
 
 No single engine is the best answer at every point of the instance space:
 the greedy hill-climb is effectively free but unproven, the label-dominance
-sweep is the production exact engine (and the only one standing on fully
-scattered large instances), and the bound-pruned Pareto DP is an independent
-exact construction that doubles as a cross-check oracle.  Metareasoning over
-continual operations and hybrid search/inference DCOP solvers both converge
-on the same production recipe for this class of problems: an *anytime
-incumbent* plus *adaptive algorithm selection*.
+sweep is the fastest exact engine on small and clustered instances, the
+HiGHS MILP is the exact engine on large scattered trees, and the
+bound-pruned Pareto DP is an independent exact construction that doubles as
+a cross-check oracle.  Metareasoning over continual operations and hybrid
+search/inference DCOP solvers both converge on the same production recipe
+for this class of problems: an *anytime incumbent* plus *adaptive algorithm
+selection*.
 
 :class:`PortfolioSolver` implements that recipe on top of the repo's
 existing plumbing:
@@ -18,9 +19,10 @@ existing plumbing:
 2. **greedy seed** — the hill-climb runs first and reports its objective
    into the shared :class:`~repro.core.context.SolveContext`, so an answer
    exists microseconds in, whatever happens later;
-3. **label sweep** — the main exact stage, warm-started from the best bound
-   so far (the same incumbent plumbing the incremental solver uses), under
-   the same shared context;
+3. **exact stage** — one engine per regime: the forward label sweep,
+   warm-started from the greedy bound (the same incumbent plumbing the
+   incremental solver uses), or, on scattered trees from ``n = 50``, the
+   MILP (:mod:`repro.baselines.milp`), both under the shared context;
 4. **pruned-DP cross-check** — on small/compact instances (where it costs
    little), the independent exact engine re-derives the optimum; agreement
    is recorded in the details, disagreement is flagged loudly.
@@ -37,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.context import SolveContext
+from repro.core.context import SolveContext, SolveInterrupted
 from repro.core.dwg import SSBWeighting
 from repro.model.problem import AssignmentProblem
 
@@ -63,13 +65,17 @@ _CROSS_CHECK_MAX_STAR_WIDTH = 0.5
 #: ``bench_exact_engine``); past this cap even star-shaped folds get big.
 _CROSS_CHECK_MAX_STAR_N = 48
 
-#: The label stage switches to the bidirectional sweep on large scattered
-#: instances: half-depth frontiers stay orders of magnitude smaller than
-#: full-depth ones from about n=45 (the forward engine's blowup knee),
-#: while on small or clustered instances the forward sweep's single pass
-#: wins on constant factors.
-_BIDIR_MIN_N = 45
-_BIDIR_MIN_SCATTER = 0.75
+#: The exact stage is the HiGHS MILP (:mod:`repro.baselines.milp`) instead
+#: of the forward label sweep on large scattered instances.  The README's
+#: crossover table (``benchmarks/milp_crossover.py``: binary scattered
+#: trees, 4-6 satellites, seeds 0..5) has the forward sweep as fast as a
+#: warm MILP up to n=48 in the median (0.14 s vs 0.09 s), but its tail
+#: grows from there (max 0.8 s at n=48, 7.7 s at n=56, >20 s at n=70),
+#: while the MILP stays at 0.07-0.4 s.  The cut sits at 50, not 48,
+#: because the first routed solve in a process pays the cold scipy import
+#: (~0.6 s more).
+_MILP_MIN_N = 50
+_MILP_MIN_SCATTER = 0.75
 
 #: Wall budget of the greedy seed stage.  The seed exists to guarantee an
 #: incumbent from the first milliseconds — not to race the sweep — so its
@@ -161,7 +167,7 @@ class StageOutcome:
 
 
 class PortfolioSolver:
-    """Staged racing portfolio over greedy / label sweep / pruned DP.
+    """Staged racing portfolio over greedy / labels or MILP / pruned DP.
 
     Parameters
     ----------
@@ -174,7 +180,8 @@ class PortfolioSolver:
         disables it.
     beam_width:
         Beam width of the label stage's pre-pass (the greedy seed already
-        provides an incumbent, so the beam mostly refines it).
+        provides an incumbent, so the beam mostly refines it); the MILP
+        stage does not use it.
     """
 
     def __init__(self, weighting: Optional[SSBWeighting] = None,
@@ -197,6 +204,7 @@ class PortfolioSolver:
               ) -> Tuple[Any, Dict[str, Any]]:
         """Run the schedule; returns ``(assignment, details)`` runner-style."""
         from repro.baselines.greedy import greedy_assignment
+        from repro.baselines.milp import milp_assignment
         from repro.baselines.pareto_dp import pareto_dp_pruned_assignment
         from repro.core.assignment_graph import build_assignment_graph
         from repro.core.coloring import color_tree
@@ -231,15 +239,42 @@ class PortfolioSolver:
             extra={"steps": greedy_details.get("steps")}))
         winner = "greedy"
 
-        # ---- stage 2: label-dominance sweep — the main exact engine ------
-        if interrupted is None:
+        # ---- stage 2: the exact engine of the instance's regime ----------
+        if interrupted is None and self._uses_milp(features):
+            started = time.perf_counter()
+            try:
+                candidate, milp_details = milp_assignment(
+                    problem, weighting=self.weighting, context=context)
+            except SolveInterrupted as exc:
+                # HiGHS hit the deadline holding no solution: the greedy
+                # seed stands
+                interrupted = exc.kind
+                stages.append(StageOutcome(
+                    stage="milp", objective=best_objective,
+                    elapsed_s=time.perf_counter() - started,
+                    interrupted=interrupted))
+            else:
+                interrupted = milp_details.get("interrupted")
+                milp_objective = milp_details["objective"]
+                improved = milp_objective < best_objective
+                if improved:
+                    best_assignment = candidate
+                    best_objective = milp_objective
+                    winner = "milp"
+                if interrupted is None:
+                    optimal_proven = milp_details["optimal_proven"]
+                stages.append(StageOutcome(
+                    stage="milp", objective=best_objective,
+                    elapsed_s=time.perf_counter() - started,
+                    improved=improved, interrupted=interrupted,
+                    extra={"nodes": milp_details["nodes"],
+                           "lower_bound": milp_details["lower_bound"]}))
+        elif interrupted is None:
             started = time.perf_counter()
             colored = color_tree(problem)
             graph = build_assignment_graph(problem, colored_tree=colored)
-            direction = self._label_direction(features)
             search = LabelDominanceSearch(weighting=self.weighting,
-                                          beam_width=self.beam_width,
-                                          direction=direction)
+                                          beam_width=self.beam_width)
             result = search.search(graph.dwg, incumbent=best_objective,
                                    context=context)
             interrupted = result.interrupted
@@ -263,8 +298,7 @@ class PortfolioSolver:
                 elapsed_s=time.perf_counter() - started, improved=improved,
                 interrupted=interrupted,
                 extra={"labels_created": result.stats.labels_created,
-                       "labels_bound_pruned": result.stats.labels_bound_pruned,
-                       "direction": direction}))
+                       "labels_bound_pruned": result.stats.labels_bound_pruned}))
 
         # ---- stage 3: pruned-DP cross-check (independent construction) ---
         cross_check_agreed: Optional[bool] = None
@@ -317,14 +351,11 @@ class PortfolioSolver:
         return best_assignment, details
 
     # ---------------------------------------------------------------- policy
-    def _label_direction(self, features: Dict[str, Any]) -> str:
-        """Forward sweep by default; bidirectional on large scattered trees,
-        where meeting in the middle keeps both half-frontiers far below the
-        forward engine's full-depth blowup."""
-        if (features["n_processing"] >= _BIDIR_MIN_N
-                and features["scatter_ratio"] >= _BIDIR_MIN_SCATTER):
-            return "bidirectional"
-        return "forward"
+    def _uses_milp(self, features: Dict[str, Any]) -> bool:
+        """The MILP is the exact stage on large scattered trees; every
+        other instance keeps the forward label sweep."""
+        return (features["n_processing"] >= _MILP_MIN_N
+                and features["scatter_ratio"] >= _MILP_MIN_SCATTER)
 
     def _wants_cross_check(self, features: Dict[str, Any]) -> bool:
         if self.cross_check in (False, "never"):

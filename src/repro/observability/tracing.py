@@ -93,8 +93,7 @@ class ProfileAccumulator:
     per node.  Totals split bound rejections by which completion potential
     fired: the sigma + per-colour load *floor* bound (tree DP), the
     per-*colour* joint sigma/load bound (label sweep), the *joint* average
-    bound, the incumbent re-check when a lazy bucket *settles*, and the
-    *meet*-in-the-middle join pre-filter (bidirectional sweep).
+    bound, and the incumbent re-check when a lazy bucket *settles*.
     """
 
     __slots__ = (
@@ -105,7 +104,6 @@ class ProfileAccumulator:
         "pruned_colour",
         "pruned_joint",
         "pruned_settle",
-        "pruned_meet",
         "frontier_peak",
         "settle_batches",
         "nodes_swept",
@@ -121,7 +119,6 @@ class ProfileAccumulator:
         self.pruned_colour = 0
         self.pruned_joint = 0
         self.pruned_settle = 0
-        self.pruned_meet = 0
         self.frontier_peak = 0
         self.settle_batches = 0
         self.nodes_swept = 0
@@ -139,7 +136,6 @@ class ProfileAccumulator:
         frontier: int = 0,
         settle_batches: int = 0,
         pruned_colour: int = 0,
-        pruned_meet: int = 0,
     ) -> None:
         self.labels_created += created
         self.labels_dominated += dominated
@@ -147,7 +143,6 @@ class ProfileAccumulator:
         self.pruned_colour += pruned_colour
         self.pruned_joint += pruned_joint
         self.pruned_settle += pruned_settle
-        self.pruned_meet += pruned_meet
         if frontier > self.frontier_peak:
             self.frontier_peak = frontier
         self.settle_batches += settle_batches
@@ -160,14 +155,14 @@ class ProfileAccumulator:
                     int(dominated),
                     int(pruned_floor + pruned_colour),
                     int(pruned_joint),
-                    int(pruned_settle + pruned_meet),
+                    int(pruned_settle),
                 ]
             )
 
     @property
     def pruned_total(self) -> int:
         return (self.pruned_floor + self.pruned_colour + self.pruned_joint
-                + self.pruned_settle + self.pruned_meet)
+                + self.pruned_settle)
 
     def totals(self) -> Dict[str, int]:
         """Flat scalar totals — safe to embed in ``details['profile']``."""
@@ -178,7 +173,6 @@ class ProfileAccumulator:
             "pruned_colour": self.pruned_colour,
             "pruned_joint": self.pruned_joint,
             "pruned_settle": self.pruned_settle,
-            "pruned_meet": self.pruned_meet,
             "pruned_total": self.pruned_total,
             "frontier_peak": self.frontier_peak,
             "settle_batches": self.settle_batches,
@@ -614,7 +608,6 @@ _BOUND_ROWS = (
     ("pruned_colour", "per-colour joint sigma/load bound"),
     ("pruned_joint", "joint average-load bound"),
     ("pruned_settle", "incumbent re-check at settle"),
-    ("pruned_meet", "meet-in-the-middle join pre-filter"),
 )
 
 

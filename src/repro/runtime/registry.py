@@ -15,8 +15,6 @@ The default registry carries the paper's algorithm plus every baseline:
 ``colored-ssb``        the paper's adapted SSB search (exact)
 ``colored-ssb-labels`` label-dominance DAG sweep, no elimination loop (exact;
                        aliases ``labels`` / ``label-search``)
-``colored-ssb-bidir``  bidirectional label sweep meeting in the middle of the
-                       assignment DAG (exact; alias ``bidir``)
 ``colored-ssb-incremental`` label sweep warm-started from the last solve of
                        the same tree structure (exact; alias ``incremental``)
 ``brute-force``        full enumeration (exact reference)
@@ -32,13 +30,16 @@ The default registry carries the paper's algorithm plus every baseline:
 ``dag-heft``           HEFT on the §6 DAG relaxation, projected to a feasible cut
 ``dag-genetic``        GA on the §6 DAG relaxation, projected to a feasible cut
 ``portfolio``          staged racing portfolio under one anytime context
-                       (alias ``auto``)
+                       (alias ``auto``); its exact stage is the label sweep,
+                       or the HiGHS MILP on scattered trees from n=50
 
 Deadline contract: every spec is handed the caller's
 :class:`~repro.core.context.SolveContext` and polls it.  ``anytime`` specs
 return their best incumbent as a ``feasible`` result when it fires; the one
 non-anytime spec, ``dag-heft``, has no partial answer and surfaces as a
-``timeout``/``cancelled`` result instead.
+``timeout``/``cancelled`` result instead.  The portfolio's MILP stage hands
+HiGHS the remaining time as its limit but cannot see a cancel token while
+HiGHS runs.
 """
 
 from __future__ import annotations
@@ -323,8 +324,6 @@ def _label_search_profile(stats) -> Dict[str, Any]:
         "pruned_colour": stats.pruned_colour,
         "pruned_joint": stats.pruned_joint,
         "pruned_settle": stats.pruned_settle,
-        "pruned_meet": stats.pruned_meet,
-        "meet_edges": stats.meet_edges,
         "pruned_total": stats.labels_bound_pruned,
         "frontier_peak": stats.frontier_peak,
         "settle_batches": stats.settle_batches,
@@ -345,8 +344,7 @@ def _run_colored_ssb_labels(problem: AssignmentProblem,
     search = LabelDominanceSearch(
         weighting=weighting,
         beam_width=options.get("beam_width", 128),
-        frontier=options.get("frontier", "bucketed"),
-        direction=options.get("direction", "forward"))
+        frontier=options.get("frontier", "bucketed"))
     result = search.search(graph.dwg, context=options.get("context"))
     if not result.found:
         raise RuntimeError("the coloured assignment graph has no S-T path; "
@@ -368,15 +366,6 @@ def _run_colored_ssb_labels(problem: AssignmentProblem,
     if result.interrupted:
         details["interrupted"] = result.interrupted
     return assignment, details
-
-
-def _run_colored_ssb_bidir(problem: AssignmentProblem,
-                           weighting: Optional[SSBWeighting],
-                           options: Mapping[str, Any]):
-    """Bidirectional label sweep: half-sweeps joined at the meet layer."""
-    opts = dict(options)
-    opts["direction"] = "bidirectional"
-    return _run_colored_ssb_labels(problem, weighting, opts)
 
 
 def _run_colored_ssb_incremental(problem, weighting, options):
@@ -521,22 +510,6 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
         aliases=("labels", "label-search"),
     ),
     SolverSpec(
-        name="colored-ssb-bidir",
-        runner=_run_colored_ssb_bidir,
-        anytime=True,
-        description="bidirectional label sweep: forward and backward "
-                    "half-sweeps meet in the middle of the assignment DAG "
-                    "and join over the crossing edges",
-        exact=True,
-        supports_weighting=True,
-        complexity="O(labels * out-degree) per half; join bounded by the "
-                   "per-colour and average meet floors",
-        aliases=("bidir",),
-        limits=("wins on deep scattered trees (n>=45) where half-depth "
-                "frontiers stay far smaller than full-depth ones; on "
-                "shallow or star-like graphs the forward sweep is faster",),
-    ),
-    SolverSpec(
         name="colored-ssb-incremental",
         runner=_run_colored_ssb_incremental,
         anytime=True,
@@ -645,12 +618,13 @@ _DEFAULT_SPECS: Tuple[SolverSpec, ...] = (
         name="portfolio",
         runner=_run_portfolio,
         description="feature-scheduled racing portfolio: greedy incumbent "
-                    "seed, label-dominance main stage, pruned-DP cross-check, "
-                    "all under one shared anytime context",
+                    "seed, label-sweep or MILP exact stage, pruned-DP "
+                    "cross-check, all under one shared anytime context",
         exact=True,
         supports_weighting=True,
         anytime=True,
-        complexity="dominated by the label sweep; greedy seed is O(steps·|T|)",
+        complexity="dominated by the exact stage; greedy seed is "
+                   "O(steps·|T|)",
         aliases=("auto",),
     ),
 )

@@ -112,6 +112,20 @@ class TestMidSolveDeadline:
         assert clean.status == "optimal"
         assert clean.objective == OPTIMUM
 
+    @pytest.mark.slow
+    def test_forward_sweep_polls_inside_a_long_node(self):
+        # one node of this sweep extends a bucket for ~2 s, so a poll per
+        # node alone returned 1.5 s late; the per-out-edge poll cuts it
+        problem = random_problem(n_processing=70, n_satellites=4,
+                                 max_children=2, sensor_scatter=1.0,
+                                 seed=1506599229)
+        started = time.perf_counter()
+        result = solve(problem, method="colored-ssb-labels", deadline_s=2.0)
+        elapsed = time.perf_counter() - started
+        assert result.assignment.is_feasible()
+        assert result.interrupted == "deadline"
+        assert elapsed < 2.0 + 0.5
+
 
 class TestCancellation:
     def test_cancel_after_first_incumbent(self):
@@ -127,9 +141,8 @@ class TestCancellation:
         assert result.status == "feasible"
         assert result.interrupted == "cancelled"
 
-    @pytest.mark.parametrize("direction", ["forward", "bidirectional"])
     def test_cancel_during_settle_leaves_pareto_state_consistent(
-            self, monkeypatch, direction):
+            self, monkeypatch):
         # fire the cancel from inside the block kernels' Pareto filter —
         # mid-sweep, while a node's bucket settles, before its extension —
         # and verify both that the interrupted solve still answers and that
@@ -145,15 +158,14 @@ class TestCancellation:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(label_search, "pareto_block_mask", cancelling_mask)
-        result = solve(PROBLEM, method="colored-ssb-labels",
-                       direction=direction, context=context)
+        result = solve(PROBLEM, method="colored-ssb-labels", context=context)
         assert result.assignment is not None
         assert result.assignment.is_feasible()
         assert result.interrupted == "cancelled"
         assert result.objective >= OPTIMUM - 1e-12
         monkeypatch.undo()
-        assert solve(PROBLEM, method="colored-ssb-labels",
-                     direction=direction).objective == OPTIMUM
+        assert solve(PROBLEM,
+                     method="colored-ssb-labels").objective == OPTIMUM
 
     def test_cancelled_status_when_no_incumbent_possible(self):
         # a runner that checkpoints before holding any incumbent surfaces as

@@ -197,16 +197,11 @@ class TestColoredSSBFinisherWiring:
 
 
 class TestFrontierBackends:
-    """The frontier="bucketed"|"linear" switch: identical optima, and the
-    linear reference is forward-only."""
+    """The frontier="bucketed"|"linear" switch: identical optima."""
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError, match="frontier"):
             LabelDominanceSearch(frontier="quadtree")
-        # the bidirectional join only runs on array buckets: a linear
-        # frontier there would be silently ignored
-        with pytest.raises(ValueError, match="frontier"):
-            LabelDominanceSearch(frontier="linear", direction="bidirectional")
 
     @pytest.mark.parametrize("scatter", [0.0, 0.5, 1.0])
     def test_backends_agree_bit_identically(self, scatter):
@@ -219,10 +214,9 @@ class TestFrontierBackends:
         assert bucketed.s_weight == linear.s_weight
         assert bucketed.b_weight == linear.b_weight
 
-    @pytest.mark.parametrize("direction", ["forward", "bidirectional"])
     @pytest.mark.parametrize("window", [1, 32, 64])
     def test_dominance_window_changes_filtering_only(self, monkeypatch,
-                                                     direction, window):
+                                                     window):
         # a narrower dominator window lets more dominated labels survive the
         # block filter; it costs time, never the optimum
         import repro.core.label_search as ls
@@ -231,9 +225,9 @@ class TestFrontierBackends:
         problem = random_problem(n_processing=36, n_satellites=5, seed=4,
                                  sensor_scatter=1.0)
         graph = build_assignment_graph(problem)
-        reference = LabelDominanceSearch(direction=direction).search(graph.dwg)
+        reference = LabelDominanceSearch().search(graph.dwg)
         monkeypatch.setattr(ls, "_DOMINANCE_WINDOW", window)
-        narrow = LabelDominanceSearch(direction=direction).search(graph.dwg)
+        narrow = LabelDominanceSearch().search(graph.dwg)
         # the window really changed the trajectory ...
         assert narrow.stats.labels_created != reference.stats.labels_created
         # ... and nothing else

@@ -1,15 +1,14 @@
 """Cross-solver differential harness — the repo's standing exactness oracle.
 
-Three independent exact engines answer every instance:
+Independent exact engines answer every instance:
 
 * ``colored-ssb`` / ``colored-ssb-labels`` — the paper's construction
   (colouring, assignment graph, label-dominance sweep on the DAG);
-* ``colored-ssb-bidir`` — the same DAG swept from both ends, frontiers
-  joined at the meet layer (a different pruning trajectory and a
-  different set of bounds from the forward sweep);
 * ``pareto-dp-pruned`` — the bound-pruned streamed Pareto DP straight on
   the CRU tree (no colouring, no assignment graph, its own per-colour
   completion-DAG bounds);
+* :func:`~repro.baselines.milp.milp_assignment` — the tree cut as a HiGHS
+  MILP, a declarative model with no search code of its own;
 * ``brute-force`` — enumeration, where the instance is small enough.
 
 They share no search code beyond the problem model, so agreement across a
@@ -20,16 +19,21 @@ in the regime where brute force can't reach: ``pareto-dp-pruned`` now covers
 scattered instances through n=30, exactly where the old frontier-exact DP
 raised ``FrontierExplosion`` and left the label engine unchecked.
 
-Objectives are compared *exactly* (no tolerance): every solver reports the
-end-to-end delay of the concrete assignment it returns, computed by the same
-``Assignment.end_to_end_delay()`` code path, and the optimum is unique on
-these random instances.  A sub-ulp disagreement is a real bug, not noise.
+Objectives of the registered engines are compared *exactly* (no
+tolerance): every solver reports the end-to-end delay of the concrete
+assignment it returns, computed by the same ``Assignment.end_to_end_delay()``
+code path, and the optimum is unique on these random instances.  A sub-ulp
+disagreement is a real bug, not noise.  The MILP proves optimality up to
+HiGHS' feasibility tolerances, so its answer must be feasible and within
+:data:`MILP_RTOL` relative of the label engine's.
 """
 
 import random
 
 import pytest
 
+from repro.baselines.milp import milp_assignment
+from repro.core.dwg import SSBWeighting
 from repro.core.solver import solve
 from repro.workloads import random_problem
 
@@ -43,6 +47,9 @@ TOPOLOGIES = {
 
 #: brute force stays feasible up to here (exponential in offloadable subtrees)
 BRUTE_FORCE_MAX_N = 10
+
+#: relative agreement required of the MILP oracle (see the module docstring)
+MILP_RTOL = 1e-9
 
 
 def make_instance(topology, n, n_satellites, seed, drift=0.0):
@@ -65,18 +72,40 @@ def objectives(problem, methods):
             for method in methods}
 
 
+def weighted(assignment, weighting):
+    return weighting.combine(assignment.host_load(),
+                             assignment.max_satellite_load())
+
+
+def assert_milp_agrees(problem, weighting=None):
+    """The MILP oracle's answer is feasible and within MILP_RTOL of the
+    forward label sweep's, under the same weighting."""
+    weighting = weighting or SSBWeighting()
+    labels = solve(problem, method="colored-ssb-labels", weighting=weighting)
+    assignment, details = milp_assignment(problem, weighting=weighting)
+    assert assignment.is_feasible()
+    assert details["optimal_proven"]
+    expected = weighted(labels.assignment, weighting)
+    assert weighted(assignment, weighting) == pytest.approx(
+        expected, rel=MILP_RTOL), f"MILP disagrees on {problem.name}"
+
+
 def assert_identical(problem, methods):
+    """Bit-identical optima across ``methods``, and the MILP oracle within
+    tolerance of them."""
     values = objectives(problem, methods)
     reference = next(iter(values.values()))
     mismatched = {m: v for m, v in values.items() if v != reference}
     assert not mismatched, (
         f"exact solvers disagree on {problem.name}: {values}")
+    assert_milp_agrees(problem)
     return reference
 
 
 # --------------------------------------------------------------- fast lane
 class TestTripleAgreement:
-    """Labels, pruned DP and brute force return bit-identical optima."""
+    """Labels, pruned DP and brute force return bit-identical optima; the
+    MILP agrees with them on every instance."""
 
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
     @pytest.mark.parametrize("n", [6, 8, 10])
@@ -84,8 +113,7 @@ class TestTripleAgreement:
     def test_small_instances(self, topology, n, n_satellites):
         problem = make_instance(topology, n, n_satellites, seed=n + n_satellites)
         assert_identical(problem, ["brute-force", "colored-ssb",
-                                   "colored-ssb-labels", "colored-ssb-bidir",
-                                   "pareto-dp-pruned"])
+                                   "colored-ssb-labels", "pareto-dp-pruned"])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_seed_sweep_scattered(self, seed):
@@ -99,7 +127,6 @@ class TestTripleAgreement:
             problem = make_instance(topology, 8, 3, seed=round_,
                                     drift=0.05 * (round_ + 1))
             assert_identical(problem, ["brute-force", "colored-ssb-labels",
-                                       "colored-ssb-bidir",
                                        "pareto-dp-pruned"])
 
     def test_incremental_agrees_under_drift(self):
@@ -120,8 +147,14 @@ class TestTripleAgreement:
     @pytest.mark.parametrize("n", [12, 14, 16])
     def test_labels_vs_pruned_dp_where_brute_force_thins_out(self, n):
         problem = make_instance("scattered", n, 4, seed=n)
-        assert_identical(problem, ["colored-ssb-labels", "colored-ssb-bidir",
-                                   "pareto-dp-pruned"])
+        assert_identical(problem, ["colored-ssb-labels", "pareto-dp-pruned"])
+
+    @pytest.mark.parametrize("weighting", [SSBWeighting.convex(0.3),
+                                           SSBWeighting(lambda_s=2.0,
+                                                        lambda_b=0.5)])
+    def test_milp_agrees_under_a_non_default_weighting(self, weighting):
+        problem = make_instance("scattered", 12, 4, seed=3)
+        assert_milp_agrees(problem, weighting)
 
     def test_frontier_backends_agree(self):
         problem = make_instance("scattered", 12, 4, seed=2)
@@ -152,7 +185,7 @@ class TestTripleAgreement:
         for n in (8, 12):
             problem = make_instance(topology, n, 3, seed=n)
             for method in ("colored-ssb", "colored-ssb-labels",
-                           "colored-ssb-bidir", "pareto-dp-pruned"):
+                           "pareto-dp-pruned"):
                 bare = solve(problem, method=method)
                 inert = solve(problem, method=method,
                               context=SolveContext())
@@ -161,6 +194,24 @@ class TestTripleAgreement:
                     f"{problem.name}")
                 assert inert.assignment.placement == bare.assignment.placement
                 assert inert.status == "optimal"
+            bare_milp, _ = milp_assignment(problem)
+            inert_milp, details = milp_assignment(problem,
+                                                  context=SolveContext())
+            assert inert_milp.placement == bare_milp.placement
+            assert "interrupted" not in details
+
+    def test_scattered_n70_portfolio_anchor(self):
+        """Scattered n=70, the regime the portfolio routes to the MILP: the
+        forward sweep takes seconds here and the DP explodes, so the anchor
+        is the optimum both the MILP and the former bidirectional sweep
+        returned, bit for bit after re-evaluation."""
+        problem = random_problem(n_processing=70, n_satellites=6, seed=10,
+                                 sensor_scatter=1.0)
+        result = solve(problem, method="portfolio")
+        assert result.objective == 36.88229552774367
+        assert result.status == "optimal"
+        assert result.details["winner"] == "milp"
+        assert [s["stage"] for s in result.details["stages"]][1] == "milp"
 
 
 # --------------------------------------------------------------- slow lane
@@ -174,7 +225,7 @@ class TestFullSweep:
         for n_satellites in (2, 3, 4):
             for seed in range(3):
                 methods = ["colored-ssb", "colored-ssb-labels",
-                           "colored-ssb-bidir", "pareto-dp-pruned"]
+                           "pareto-dp-pruned"]
                 if n <= BRUTE_FORCE_MAX_N:
                     methods.append("brute-force")
                 problem = make_instance(topology, n, n_satellites, seed=seed)
@@ -190,34 +241,30 @@ class TestFullSweep:
 
     def test_scattered_n30_pruned_dp_is_the_second_oracle(self):
         """The acceptance regime: pareto-dp-pruned must solve scattered n=30
-        exactly (no FrontierExplosion), matching the label engine — the only
-        other exact method standing there."""
+        exactly (no FrontierExplosion), matching the label engine and the
+        MILP."""
         for seed in range(2):
             problem = make_instance("scattered", 30, 4, seed=seed)
             assert_identical(problem,
-                             ["colored-ssb-labels", "colored-ssb-bidir",
-                              "pareto-dp-pruned"])
+                             ["colored-ssb-labels", "pareto-dp-pruned"])
 
     def test_wide_star_n40_triple_agreement(self):
-        """The streamed-DP acceptance regime: all three engines finish the
-        wide star at n=40 (the old DP kernel ground or exploded here) and
-        return the same bit pattern."""
+        """The streamed-DP acceptance regime: the label sweep and the
+        streamed DP finish the wide star at n=40 (the old DP kernel ground
+        or exploded here) with the same bit pattern, and the MILP agrees."""
         problem = random_problem(n_processing=40, n_satellites=4, seed=7,
                                  sensor_scatter=0.5, max_children=64)
-        assert_identical(problem, ["colored-ssb-labels", "colored-ssb-bidir",
-                                   "pareto-dp-pruned"])
+        assert_identical(problem, ["colored-ssb-labels", "pareto-dp-pruned"])
 
-    def test_scattered_n70_bidir_trajectories_agree(self):
-        """Scattered n=70: only the bidirectional sweep finishes (the forward
-        sweep runs past 60s, the DP explodes), so the differential is across
-        engine configurations — a narrower or wider beam changes the
-        incumbent, hence the pruning trajectory and the meet-layer join
-        order, and every trajectory must land on the same bit pattern with a
-        proof."""
-        problem = random_problem(n_processing=70, n_satellites=6, seed=10,
-                                 sensor_scatter=1.0)
-        results = [solve(problem, method="colored-ssb-bidir", **config)
-                   for config in ({}, {"beam_width": 32},
-                                  {"beam_width": 512})]
-        assert all(r.status == "optimal" for r in results)
-        assert len({r.objective for r in results}) == 1
+    @pytest.mark.parametrize("n", [30, 40, 50, 60])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_milp_vs_forward_labels_on_scattered(self, n, seed):
+        """Past the DP's reach only the label sweep and the MILP stand: the
+        two share no code, so their agreement is the check at these sizes.
+        Binary trees with 6 satellites keep the forward sweep under ~1 s at
+        n=60 (with 4 satellites or 3-ary trees it can take minutes and
+        gigabytes there, which is why the portfolio routes them to the
+        MILP)."""
+        problem = random_problem(n_processing=n, n_satellites=6, seed=seed,
+                                 sensor_scatter=1.0, max_children=2)
+        assert_milp_agrees(problem)

@@ -138,8 +138,7 @@ class TestBitIdentity:
         assert profile["pruned_total"] == (profile["pruned_floor"]
                                            + profile["pruned_colour"]
                                            + profile["pruned_joint"]
-                                           + profile["pruned_settle"]
-                                           + profile["pruned_meet"])
+                                           + profile["pruned_settle"])
         method_spans = [s for s in load_spans(str(tmp_path))
                         if str(s["name"]).startswith("method:")]
         span_profile = next(s["profile"] for s in method_spans
@@ -276,14 +275,14 @@ class TestRendering:
         assert "floor bound" in text and "joint average-load" in text
         assert "( 60.0%)" in text and "( 30.0%)" in text and "( 10.0%)" in text
 
-    def test_profile_table_renders_per_colour_and_meet_rows(self):
+    def test_profile_table_renders_per_colour_row(self):
         acc = ProfileAccumulator("label-search")
         acc.record_node(0, created=20, dominated=1, pruned_floor=2,
-                        pruned_colour=8, pruned_joint=4, pruned_settle=1,
-                        pruned_meet=5, frontier=6, settle_batches=1)
+                        pruned_colour=12, pruned_joint=4, pruned_settle=2,
+                        frontier=6, settle_batches=1)
         text = render_profile(acc.totals())
-        assert "per-colour joint" in text and "( 40.0%)" in text
-        assert "meet-in-the-middle" in text and "( 25.0%)" in text
+        assert "per-colour joint" in text and "( 60.0%)" in text
+        assert "meet" not in text
 
     def test_profile_node_cap_bounds_memory(self):
         acc = ProfileAccumulator("label-search", node_cap=4)

@@ -89,33 +89,38 @@ class TestAttribution:
         assert objectives == sorted(objectives, reverse=True)
 
 
-class TestBidirRouting:
-    """Large scattered instances route the label stage through the
-    bidirectional sweep; everything else keeps the forward engine."""
+class TestMilpRouting:
+    """Large scattered instances route the exact stage through the MILP;
+    everything else keeps the forward label sweep."""
 
-    def test_direction_forward_on_small_or_clustered(self):
+    def test_labels_on_small_or_clustered(self):
         solver = PortfolioSolver()
         small = instance_features(make(n=20, scatter=1.0, seed=1))
-        assert solver._label_direction(small) == "forward"
+        assert not solver._uses_milp(small)
         clustered = instance_features(
             make(n=50, scatter=0.0, seed=1, max_children=3))
-        assert solver._label_direction(clustered) == "forward"
+        assert not solver._uses_milp(clustered)
+        below = instance_features(
+            make(n=48, scatter=1.0, seed=1, sats=4, max_children=3))
+        assert below["scatter_ratio"] >= 0.75
+        assert not solver._uses_milp(below)
 
-    def test_direction_bidirectional_on_large_scattered(self):
+    def test_milp_on_large_scattered(self):
         solver = PortfolioSolver()
         features = instance_features(
-            make(n=48, scatter=1.0, seed=1, sats=4, max_children=3))
-        assert features["n_processing"] >= 45
+            make(n=50, scatter=1.0, seed=5, sats=4, max_children=3))
+        assert features["n_processing"] == 50
         assert features["scatter_ratio"] >= 0.75
-        assert solver._label_direction(features) == "bidirectional"
+        assert solver._uses_milp(features)
 
-    def test_portfolio_runs_bidir_and_stays_exact_on_large_scattered(self):
-        problem = make(n=46, scatter=1.0, seed=5, sats=4, max_children=3)
+    def test_portfolio_runs_milp_and_stays_exact_on_large_scattered(self):
+        problem = make(n=50, scatter=1.0, seed=5, sats=4, max_children=3)
         reference = solve(problem, method="colored-ssb-labels").objective
         result = solve(problem, method="portfolio")
-        stages = {s["stage"]: s for s in result.details["stages"]}
-        assert stages["labels"]["direction"] == "bidirectional"
-        assert result.objective == reference
+        stages = [s["stage"] for s in result.details["stages"]]
+        assert "milp" in stages and "labels" not in stages
+        assert result.objective == pytest.approx(reference, rel=1e-9)
+        assert result.status == "optimal"
         assert result.details["optimal_proven"]
 
 
