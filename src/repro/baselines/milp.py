@@ -218,14 +218,8 @@ def milp_assignment(problem: AssignmentProblem,
                            f"with its re-evaluation {objective!r}")
     if context is not None:
         context.report_incumbent(objective, source="milp")
-    details: Dict[str, Any] = {
-        "objective": objective,
-        "highs_status": int(res.status),
-        "optimal_proven": res.status == _OPTIMAL,
-        "lower_bound": (float(res.mip_dual_bound) + weighting.lambda_s * host
-                        if res.mip_dual_bound is not None else None),
-        "nodes": res.mip_node_count,
-    }
+    details: Dict[str, Any] = {"objective": objective,
+                               "optimal_proven": res.status == _OPTIMAL}
     if interrupted is not None:
         details["interrupted"] = interrupted
     return assignment, details

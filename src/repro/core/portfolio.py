@@ -2,8 +2,8 @@
 
 No single engine is the best answer at every point of the instance space:
 the greedy hill-climb is effectively free but unproven, the label-dominance
-sweep is the fastest exact engine on small and clustered instances, the
-HiGHS MILP is the exact engine on large scattered trees, and the
+sweep is the fastest exact engine on small instances, the HiGHS MILP is
+the exact engine on large ones, and the
 bound-pruned Pareto DP is an independent exact construction that doubles as
 a cross-check oracle.  Metareasoning over continual operations and hybrid
 search/inference DCOP solvers both converge on the same production recipe
@@ -21,7 +21,7 @@ existing plumbing:
    exists microseconds in, whatever happens later;
 3. **exact stage** — one engine per regime: the forward label sweep,
    warm-started from the greedy bound (the same incumbent plumbing the
-   incremental solver uses), or, on scattered trees from ``n = 50``, the
+   incremental solver uses), or, from ``n = 50`` offloadable CRUs, the
    MILP (:mod:`repro.baselines.milp`), both under the shared context;
 4. **pruned-DP cross-check** — on small/compact instances (where it costs
    little), the independent exact engine re-derives the optimum; agreement
@@ -66,16 +66,20 @@ _CROSS_CHECK_MAX_STAR_WIDTH = 0.5
 _CROSS_CHECK_MAX_STAR_N = 48
 
 #: The exact stage is the HiGHS MILP (:mod:`repro.baselines.milp`) instead
-#: of the forward label sweep on large scattered instances.  The README's
-#: crossover table (``benchmarks/milp_crossover.py``: binary scattered
-#: trees, 4-6 satellites, seeds 0..5) has the forward sweep as fast as a
-#: warm MILP up to n=48 in the median (0.14 s vs 0.09 s), but its tail
-#: grows from there (max 0.8 s at n=48, 7.7 s at n=56, >20 s at n=70),
-#: while the MILP stays at 0.07-0.4 s.  The cut sits at 50, not 48,
-#: because the first routed solve in a process pays the cold scipy import
-#: (~0.6 s more).
+#: of the forward label sweep from this size on.  The README's crossover
+#: table (``benchmarks/milp_crossover.py``: binary scattered trees, 4-6
+#: satellites, seeds 0..5) has the forward sweep as fast as a warm MILP up
+#: to n=48 in the median (0.14 s vs 0.09 s), but its tail grows from there
+#: (max 0.8 s at n=48, 7.7 s at n=56, >20 s at n=70), while the MILP stays
+#: at 0.07-0.4 s.  The cut sits at 50, not 48, because the first routed
+#: solve in a process pays the cold scipy import (~0.6 s more).  The size
+#: alone decides: the README's scatter-band table (``--by-scatter``,
+#: n = 50..60) has the warm MILP's median within 3 ms of the sweep's or
+#: below it in every scatter band of binary, 3-ary and star trees, and its
+#: tail far below (the sweep ran past 10 s or 1.5 GB on 30 of the 96 3-ary
+#: and star instances, in every band); only on chains does the sweep win,
+#: by ~10 ms.
 _MILP_MIN_N = 50
-_MILP_MIN_SCATTER = 0.75
 
 #: Wall budget of the greedy seed stage.  The seed exists to guarantee an
 #: incumbent from the first milliseconds — not to race the sweep — so its
@@ -266,9 +270,7 @@ class PortfolioSolver:
                 stages.append(StageOutcome(
                     stage="milp", objective=best_objective,
                     elapsed_s=time.perf_counter() - started,
-                    improved=improved, interrupted=interrupted,
-                    extra={"nodes": milp_details["nodes"],
-                           "lower_bound": milp_details["lower_bound"]}))
+                    improved=improved, interrupted=interrupted))
         elif interrupted is None:
             started = time.perf_counter()
             colored = color_tree(problem)
@@ -352,10 +354,9 @@ class PortfolioSolver:
 
     # ---------------------------------------------------------------- policy
     def _uses_milp(self, features: Dict[str, Any]) -> bool:
-        """The MILP is the exact stage on large scattered trees; every
-        other instance keeps the forward label sweep."""
-        return (features["n_processing"] >= _MILP_MIN_N
-                and features["scatter_ratio"] >= _MILP_MIN_SCATTER)
+        """The MILP is the exact stage on large trees; smaller ones keep
+        the forward label sweep."""
+        return features["n_processing"] >= _MILP_MIN_N
 
     def _wants_cross_check(self, features: Dict[str, Any]) -> bool:
         if self.cross_check in (False, "never"):

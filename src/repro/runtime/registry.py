@@ -31,7 +31,7 @@ The default registry carries the paper's algorithm plus every baseline:
 ``dag-genetic``        GA on the §6 DAG relaxation, projected to a feasible cut
 ``portfolio``          staged racing portfolio under one anytime context
                        (alias ``auto``); its exact stage is the label sweep,
-                       or the HiGHS MILP on scattered trees from n=50
+                       or the HiGHS MILP from n=50
 
 Deadline contract: every spec is handed the caller's
 :class:`~repro.core.context.SolveContext` and polls it.  ``anytime`` specs

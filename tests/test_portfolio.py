@@ -90,36 +90,40 @@ class TestAttribution:
 
 
 class TestMilpRouting:
-    """Large scattered instances route the exact stage through the MILP;
-    everything else keeps the forward label sweep."""
+    """From n=50 the exact stage is the MILP, whatever the scatter ratio;
+    smaller instances keep the forward label sweep."""
 
-    def test_labels_on_small_or_clustered(self):
+    def test_labels_below_the_size_cut(self):
         solver = PortfolioSolver()
         small = instance_features(make(n=20, scatter=1.0, seed=1))
         assert not solver._uses_milp(small)
-        clustered = instance_features(
-            make(n=50, scatter=0.0, seed=1, max_children=3))
-        assert not solver._uses_milp(clustered)
         below = instance_features(
             make(n=48, scatter=1.0, seed=1, sats=4, max_children=3))
         assert below["scatter_ratio"] >= 0.75
         assert not solver._uses_milp(below)
 
-    def test_milp_on_large_scattered(self):
+    def test_milp_from_the_size_cut_whatever_the_scatter(self):
         solver = PortfolioSolver()
-        features = instance_features(
+        scattered = instance_features(
             make(n=50, scatter=1.0, seed=5, sats=4, max_children=3))
-        assert features["n_processing"] == 50
-        assert features["scatter_ratio"] >= 0.75
-        assert solver._uses_milp(features)
+        assert scattered["n_processing"] == 50
+        assert scattered["scatter_ratio"] >= 0.75
+        assert solver._uses_milp(scattered)
+        clustered = instance_features(
+            make(n=50, scatter=0.0, seed=1, max_children=3))
+        assert clustered["scatter_ratio"] == 0.0
+        assert solver._uses_milp(clustered)
 
-    def test_portfolio_runs_milp_and_stays_exact_on_large_scattered(self):
-        problem = make(n=50, scatter=1.0, seed=5, sats=4, max_children=3)
+    @pytest.mark.parametrize("seed, scatter", [(5, 1.0), (3, 0.5)])
+    def test_portfolio_runs_milp_and_stays_exact(self, seed, scatter):
+        # seed 3 at scatter 0.5 has a scatter ratio of 0.67
+        problem = make(n=50, scatter=scatter, seed=seed, sats=4,
+                       max_children=3 if scatter == 1.0 else 2)
         reference = solve(problem, method="colored-ssb-labels").objective
         result = solve(problem, method="portfolio")
         stages = [s["stage"] for s in result.details["stages"]]
         assert "milp" in stages and "labels" not in stages
-        assert result.objective == pytest.approx(reference, rel=1e-9)
+        assert result.objective == reference
         assert result.status == "optimal"
         assert result.details["optimal_proven"]
 
